@@ -17,9 +17,7 @@ class Table1Bench extends SparkSpec {
 
   test("Table 1: run all 14 datasets and print paper-vs-measured rows") {
     val out = TableRunner.render(TableRunner.q1, rows)
-    val dir = java.nio.file.Paths.get("results")
-    java.nio.file.Files.createDirectories(dir)
-    java.nio.file.Files.write(dir.resolve("table-q1.md"), out.getBytes("UTF-8"))
+    TableRunner.writeReport(TableRunner.q1, out)
     println(out)
     assert(rows.size == 14)
   }

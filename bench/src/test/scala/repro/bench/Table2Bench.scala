@@ -16,9 +16,7 @@ class Table2Bench extends SparkSpec {
 
   test("Table 2: run all 14 datasets and print paper-vs-measured rows") {
     val out = TableRunner.render(TableRunner.q2, rows)
-    val dir = java.nio.file.Paths.get("results")
-    java.nio.file.Files.createDirectories(dir)
-    java.nio.file.Files.write(dir.resolve("table-q2.md"), out.getBytes("UTF-8"))
+    TableRunner.writeReport(TableRunner.q2, out)
     println(out)
     assert(rows.size == 14)
   }

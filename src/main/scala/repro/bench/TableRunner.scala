@@ -121,15 +121,22 @@ object TableRunner {
     sb.result()
   }
 
+  /** Write a rendered table to `bench/results/table-<query>.md`, relative
+    * to the build root, where the table jobs and the bench suites run.
+    */
+  def writeReport(q: Query, rendered: String): Unit = {
+    val dir = java.nio.file.Paths.get("bench", "results")
+    java.nio.file.Files.createDirectories(dir)
+    java.nio.file.Files.write(dir.resolve(s"table-${q.name.toLowerCase}.md"),
+      rendered.getBytes("UTF-8"))
+  }
+
   /** Run a full table and write the rendered result under bench/results/. */
   def runAndReport(spark: SparkSession, q: Query,
                    datasets: Seq[DatasetSpec] = Datasets.all): String = {
     val rows = runTable(spark, q, datasets, progress = s => println(s"[bench] $s"))
     val out = render(q, rows)
-    val dir = java.nio.file.Paths.get("bench", "results")
-    java.nio.file.Files.createDirectories(dir)
-    java.nio.file.Files.write(dir.resolve(s"table-${q.name.toLowerCase}.md"),
-      out.getBytes("UTF-8"))
+    writeReport(q, out)
     out
   }
 }

@@ -7,14 +7,24 @@ import repro.graph.LabeledGraph
   * semantics (paper §2): for nonterminal `A`, `relations(A)` is
   * `R_A = {(m, n) | ∃ path m→n with label word in L(G_A)}`.
   *
-  * @param relations  R_A per nonterminal (absent key = empty relation)
+  * @param relations  R_A per nonterminal; construction drops empty
+  *                   relations, so every engine's result has one shape
+  *                   (absent key = empty relation)
   * @param iterations number of closure iterations executed, counting the
   *                   final no-change iteration, as in the paper's example
   *                   (§4.3 reports k = 6 because T₆ = T₅)
   */
-final case class CFPQResult(relations: Map[String, Set[(Int, Int)]], iterations: Int) {
+final case class CFPQResult private (relations: Map[String, Set[(Int, Int)]], iterations: Int) {
   def apply(nt: String): Set[(Int, Int)] = relations.getOrElse(nt, Set.empty)
   def count(nt: String): Int = apply(nt).size
+
+  def copy(relations: Map[String, Set[(Int, Int)]] = this.relations,
+           iterations: Int = this.iterations): CFPQResult = CFPQResult(relations, iterations)
+}
+
+object CFPQResult {
+  def apply(relations: Map[String, Set[(Int, Int)]], iterations: Int): CFPQResult =
+    new CFPQResult(relations.filter(_._2.nonEmpty), iterations)
 }
 
 /** A CFPQ evaluator. Implementations must agree exactly on `R_A` for every

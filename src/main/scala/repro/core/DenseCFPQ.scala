@@ -1,45 +1,22 @@
 package repro.core
 
-import repro.cfg.CnfGrammar
-import repro.graph.LabeledGraph
 import repro.linalg.BitMatrix
 
 /** Algorithm 1 over *dense* Boolean matrices — the paper's **dGPU**
   * analog (row-major dense representation; CUBLAS on a GTX 1070 in the
-  * paper, 64-way bit-parallel CPU words here).
-  *
-  * The set-valued matrix `T` is decomposed into one dense Boolean matrix
-  * `M_A` per nonterminal; one closure step computes, with `T` frozen,
-  * `P_A = ⋃_{A→BC} M_B × M_C` for every rule and then `M_A |= P_A`
-  * (that is `T ← T ∪ (T·T)`, line 9 of Algorithm 1).
+  * paper, 64-way bit-parallel CPU words here). Unions are OR-ed in place,
+  * so a closure step copies no matrix.
   *
   * Dense multiply is Θ(n³/64) per nonterminal pair regardless of sparsity,
   * so this engine degrades sharply with graph size — the reproduction of
   * the paper's observation that dGPU had to be omitted on g1–g3.
   */
-object DenseCFPQ extends CFPQEngine {
+object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix] {
   override val name = "Dense"
 
-  override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    val n = math.max(graph.numNodes, 1)
-    val mats: Map[String, BitMatrix] = grammar.nonterminals.iterator.map(_ -> new BitMatrix(n)).toMap
-    MatrixInit.cells(graph, grammar).foreach { case (nt, pairs) =>
-      val m = mats(nt)
-      pairs.foreach { case (i, j) => m.set(i, j) }
-    }
-    var iterations = 0
-    var changed = true
-    while (changed) {
-      iterations += 1
-      // Products are taken against the pre-iteration T (snapshot), exactly
-      // as in T ∪ (T·T); group rules by lhs to reuse the accumulators.
-      val products = grammar.binary.groupBy(_._1).map { case (a, rules) =>
-        val acc = new BitMatrix(n)
-        rules.foreach { case (_, b, c) => acc.orInPlace(mats(b).multiply(mats(c))) }
-        a -> acc
-      }
-      changed = products.foldLeft(false) { case (ch, (a, p)) => mats(a).orInPlace(p) || ch }
-    }
-    CFPQResult(mats.map { case (nt, m) => nt -> m.toPairs.toSet }, iterations)
-  }
+  protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): BitMatrix = BitMatrix.fromPairs(n, pairs)
+  protected def multiply(a: BitMatrix, b: BitMatrix): BitMatrix = a.multiply(b)
+  protected def union(a: BitMatrix, b: BitMatrix): BitMatrix = { a.orInPlace(b); a }
+  protected def cells(m: BitMatrix): Long = m.cardinality
+  protected def toPairs(m: BitMatrix): Seq[(Int, Int)] = m.toPairs
 }

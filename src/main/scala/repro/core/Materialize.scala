@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.storage.StorageLevel
 
 /** Iteration-safe materialization for fixpoint loops.
@@ -15,34 +15,27 @@ import org.apache.spark.storage.StorageLevel
   * spending minutes multiplying million-digit integers (observed on the
   * wine graph at ~12 iterations).
   *
-  * [[Materialize.frame]] instead persists the underlying RDD, forces it,
-  * and rebuilds a fresh DataFrame — lineage truncated *and* statistics
-  * reset to defaults. The previous iteration's handle is unpersisted by
-  * the caller once the new one is live.
+  * [[Materialize.apply]] instead persists the underlying RDD, forces it,
+  * and rebuilds a fresh Dataset — lineage truncated *and* statistics
+  * reset to defaults. The previous iteration's handle is released by
+  * [[Closure.run]] once the new one is live.
   */
 object Materialize {
 
-  /** A materialized dataset: the rebuilt frame, its row count, and the
-    * persisted RDD backing it (kept so the caller can unpersist it when
-    * the next iteration has been materialized).
+  /** A materialized dataset, its cell count, and the persisted RDD backing
+    * it (kept so that it can be unpersisted once superseded).
     */
-  final case class Pinned[T](data: T, count: Long, handle: RDD[_]) {
+  final case class Pinned[T](data: Dataset[T], count: Long, handle: RDD[T]) {
     def release(): Unit = handle.unpersist(blocking = false)
   }
 
-  /** Materialize a DataFrame; returns the frame, its count, and the handle. */
-  def frame(df: DataFrame): Pinned[DataFrame] = {
-    val rdd = df.rdd
-    rdd.persist(StorageLevel.MEMORY_AND_DISK)
-    val n = rdd.count()
-    Pinned(df.sparkSession.createDataFrame(rdd, df.schema), n, rdd)
-  }
-
-  /** Materialize a typed Dataset; returns dataset, count, handle. */
-  def dataset[T: Encoder](ds: Dataset[T]): Pinned[Dataset[T]] = {
+  /** Persist `ds` and count its cells, `Σ cells(row)`, in the one job that
+    * fills the cache.
+    */
+  def apply[T](ds: Dataset[T])(cells: T => Long): Pinned[T] = {
     val rdd = ds.rdd
     rdd.persist(StorageLevel.MEMORY_AND_DISK)
-    val n = rdd.count()
-    Pinned(ds.sparkSession.createDataset(rdd), n, rdd)
+    val n = rdd.map(cells).fold(0L)(_ + _)
+    Pinned(ds.sparkSession.createDataset(rdd)(ds.encoder), n, rdd)
   }
 }

@@ -12,9 +12,9 @@ import repro.linalg.BlockBoolMatrix
   * here the per-nonterminal matrices are tiled into sparse blocks spread
   * over Spark partitions, and every block-pair product of the closure step
   * runs as a local Boolean kernel inside a Spark task
-  * ([[repro.linalg.BlockBoolMatrix.multiply]]). Spark tasks over blocks
-  * stand in for CUDA thread blocks: the speedup mechanism (parallel sparse
-  * kernels on independent sub-matrices) is the same.
+  * ([[repro.linalg.BlockBoolMatrix.multiplyPartials]]). Spark tasks over
+  * blocks stand in for CUDA thread blocks: the speedup mechanism (parallel
+  * sparse kernels on independent sub-matrices) is the same.
   *
   * @param spark     session to run on
   * @param blockSize side of square tiles; small graphs collapse to one
@@ -24,31 +24,16 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 512) extends CF
   override val name = "SparkBlock"
 
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    import spark.implicits._
-    val init = MatrixInit.cells(graph, grammar)
-    // Materialize.dataset (not localCheckpoint) — see Materialize for why
-    // iterated self-joins must also reset plan statistics each round.
-    var cur = Materialize.dataset(
-      BlockBoolMatrix.fromPairs(spark, math.max(graph.numNodes, 1), blockSize, init))
-    var size = BlockBoolMatrix.nnz(cur.data)
-    var iterations = 0
-    if (grammar.binary.isEmpty) {
-      return CFPQResult(BlockBoolMatrix.collectPairs(cur.data, blockSize), 1)
-    }
-    var changed = true
-    while (changed) {
-      iterations += 1
+    val init = BlockBoolMatrix.fromPairs(
+      spark, math.max(graph.numNodes, 1), blockSize, MatrixInit.cells(graph, grammar))
+    val (t, iterations) = Closure.run(Materialize(init)(_.nnz.toLong))(_.count, _.release()) { cur =>
       // One fused shuffle per iteration: partial products + previous T
       // coalesced together (T ∪ T·T in a single reduce stage).
       val prod = BlockBoolMatrix.multiplyPartials(spark, cur.data, grammar.binary, blockSize)
-      val next = Materialize.dataset(
-        BlockBoolMatrix.coalesceBlocks(cur.data.union(prod)))
-      val size2 = BlockBoolMatrix.nnz(next.data)
-      if (size2 == size) { next.release(); changed = false }
-      else { cur.release(); cur = next; size = size2 }
+      Materialize(BlockBoolMatrix.coalesceBlocks(cur.data.union(prod)))(_.nnz.toLong)
     }
-    val result = CFPQResult(BlockBoolMatrix.collectPairs(cur.data, blockSize), iterations)
-    cur.release()
+    val result = CFPQResult(BlockBoolMatrix.collectPairs(t.data, blockSize), iterations)
+    t.release()
     result
   }
 }

@@ -39,31 +39,21 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
   def solveDF(edges: DataFrame, grammar: CnfGrammar): (DataFrame, Int) = {
     import spark.implicits._
     val termDf = spark.createDataset(grammar.term).toDF("nt", "lab")
-    // Materialize.frame (not localCheckpoint) — see Materialize for why the
-    // iterated self-join must also reset plan statistics each round.
-    var cur = Materialize.frame(
-      edges
-        .join(broadcast(termDf), col("label") === col("lab"))
-        .select(col("nt"), col("src"), col("dst"))
-        .distinct()
-    )
-    var iterations = 0
-    if (grammar.binary.isEmpty) return (cur.data, 1)
     val rulesDf = broadcast(spark.createDataset(grammar.binary).toDF("a", "b", "c"))
-    var changed = true
-    while (changed) {
-      iterations += 1
-      val t = cur.data
-      val l = t.as("l")
-      val r = t.as("r")
+    val init = edges
+      .join(broadcast(termDf), col("label") === col("lab"))
+      .select(col("nt"), col("src"), col("dst"))
+      .distinct()
+    // A row is one cell.
+    val (t, iterations) = Closure.run(Materialize(init)(_ => 1L))(_.count, _.release()) { cur =>
+      val l = cur.data.as("l")
+      val r = cur.data.as("r")
       val prod = l
         .join(rulesDf, col("l.nt") === col("b"))
         .join(r, col("l.dst") === col("r.src") && col("r.nt") === col("c"))
         .select(col("a").as("nt"), col("l.src").as("src"), col("r.dst").as("dst"))
-      val next = Materialize.frame(t.union(prod).distinct())
-      if (next.count == cur.count) { next.release(); changed = false }
-      else { cur.release(); cur = next }
+      Materialize(cur.data.union(prod).distinct())(_ => 1L)
     }
-    (cur.data, iterations)
+    (t.data, iterations)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.cfg.CnfGrammar
-import repro.graph.LabeledGraph
 import repro.linalg.BoolCSR
 
 /** Algorithm 1 over *sparse CSR* Boolean matrices on one core — the
@@ -12,34 +10,12 @@ import repro.linalg.BoolCSR
   * differs: SpGEMM cost is proportional to the number of set cells, so
   * this engine scales with the actual relation density.
   */
-object SparseCFPQ extends CFPQEngine {
+object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR] {
   override val name = "SparseCSR"
 
-  override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    val n = math.max(graph.numNodes, 1)
-    val init = MatrixInit.cells(graph, grammar)
-    var mats: Map[String, BoolCSR] = grammar.nonterminals.iterator.map { nt =>
-      nt -> BoolCSR.fromPairs(n, n, init.getOrElse(nt, Seq.empty))
-    }.toMap
-    var iterations = 0
-    var changed = true
-    while (changed) {
-      iterations += 1
-      val products = grammar.binary.groupBy(_._1).map { case (a, rules) =>
-        a -> rules.map { case (_, b, c) => mats(b).multiply(mats(c)) }
-          .reduce(_ union _)
-      }
-      changed = false
-      mats = mats.map { case (nt, m) =>
-        products.get(nt) match {
-          case Some(p) =>
-            val u = m.union(p)
-            if (u.nnz != m.nnz) changed = true
-            nt -> u
-          case None => nt -> m
-        }
-      }
-    }
-    CFPQResult(mats.map { case (nt, m) => nt -> m.toPairs.toSet }, iterations)
-  }
+  protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): BoolCSR = BoolCSR.fromPairs(n, n, pairs)
+  protected def multiply(a: BoolCSR, b: BoolCSR): BoolCSR = a.multiply(b)
+  protected def union(a: BoolCSR, b: BoolCSR): BoolCSR = a.union(b)
+  protected def cells(m: BoolCSR): Long = m.nnz.toLong
+  protected def toPairs(m: BoolCSR): Seq[(Int, Int)] = m.toPairs
 }

@@ -78,12 +78,6 @@ final class BitMatrix(val n: Int) extends Serializable {
     }
     b.result()
   }
-
-  def copyOf: BitMatrix = {
-    val m = new BitMatrix(n)
-    System.arraycopy(bits, 0, m.bits, 0, bits.length)
-    m
-  }
 }
 
 object BitMatrix {

@@ -29,7 +29,7 @@ final case class Block(nt: String, bi: Int, bj: Int, rows: Array[Int], cols: Arr
   * The multiply is *rule-driven*: the paper's set-matrix product
   * `(T·T)[i,k] = ⋃_j T[i,j]·T[j,k]` decomposes into one Boolean block
   * SpGEMM per grammar rule `A → BC` per matching block pair, which is
-  * exactly what [[multiply]] computes for all rules at once.
+  * exactly what [[multiplyPartials]] computes for all rules at once.
   */
 object BlockBoolMatrix {
 
@@ -54,25 +54,15 @@ object BlockBoolMatrix {
 
   /** Rule-driven distributed product: for every rule `(a, b, c)` and every
     * pair of blocks `B(b, bi, k)`, `C(c, k, bj)`, emit the Boolean product
-    * block into `a`'s matrix at (bi, bj), then union partial blocks.
-    */
-  def multiply(spark: SparkSession,
-               t: Dataset[Block],
-               rules: Seq[(String, String, String)],
-               blockSize: Int): Dataset[Block] =
-    coalesceBlocks(multiplyPartials(spark, t, rules, blockSize))
-
-  /** Like [[multiply]] but without the final coalesce: partial product
-    * blocks may repeat per (nt, bi, bj). The closure loop unions these
-    * with the previous matrix in a single coalesce, saving one shuffle
-    * stage per iteration.
+    * block into `a`'s matrix at (bi, bj). Partial blocks may repeat per
+    * (nt, bi, bj): the closure loop unions them with the previous matrix in
+    * a single [[coalesceBlocks]], one shuffle stage per iteration.
     */
   def multiplyPartials(spark: SparkSession,
                        t: Dataset[Block],
                        rules: Seq[(String, String, String)],
                        blockSize: Int): Dataset[Block] = {
     import spark.implicits._
-    if (rules.isEmpty) return spark.emptyDataset[Block]
     val rulesDf = spark.createDataset(rules).toDF("a", "b", "c")
     val l = t.toDF().as("l")
     val r = t.toDF().as("r")
@@ -90,10 +80,6 @@ object BlockBoolMatrix {
     }
   }
 
-  /** Elementwise OR of two block matrices. */
-  def union(a: Dataset[Block], b: Dataset[Block]): Dataset[Block] =
-    coalesceBlocks(a.union(b))
-
   /** Merge partial blocks sharing (nt, bi, bj) by unioning their cells. */
   def coalesceBlocks(blocks: Dataset[Block]): Dataset[Block] = {
     import blocks.sparkSession.implicits._
@@ -101,13 +87,6 @@ object BlockBoolMatrix {
       .groupByKey(blk => (blk.nt, blk.bi, blk.bj))
       .reduceGroups(unionLocal _)
       .map(_._2)
-  }
-
-  /** Total number of set cells across all blocks. */
-  def nnz(blocks: Dataset[Block]): Long = {
-    import blocks.sparkSession.implicits._
-    val counts = blocks.map(_.nnz.toLong)
-    if (counts.isEmpty) 0L else counts.reduce(_ + _)
   }
 
   /** Collect to per-nonterminal global (row, col) cells. */

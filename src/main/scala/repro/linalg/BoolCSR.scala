@@ -21,10 +21,6 @@ final class BoolCSR private (val numRows: Int,
   /** Number of set cells. */
   def nnz: Int = colIdx.length
 
-  /** Column indices of row `i` (a view into internal storage — do not mutate). */
-  def row(i: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(colIdx, rowPtr(i), rowPtr(i + 1))
-
   /** Is cell (i, j) set? Binary search within the row. */
   def apply(i: Int, j: Int): Boolean = {
     var lo = rowPtr(i); var hi = rowPtr(i + 1) - 1
@@ -121,10 +117,6 @@ final class BoolCSR private (val numRows: Int,
 }
 
 object BoolCSR {
-
-  /** Empty matrix of the given shape. */
-  def empty(numRows: Int, numCols: Int): BoolCSR =
-    new BoolCSR(numRows, numCols, new Array[Int](numRows + 1), Array.emptyIntArray)
 
   /** Build from (row, col) pairs (duplicates allowed). */
   def fromPairs(numRows: Int, numCols: Int, pairs: IterableOnce[(Int, Int)]): BoolCSR = {

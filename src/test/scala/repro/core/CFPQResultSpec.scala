@@ -13,6 +13,13 @@ class CFPQResultSpec extends AnyFunSuite {
     assert(r.count("S") == 1 && r.count("T") == 0)
   }
 
+  test("empty relations are dropped, also by copy, so equal answers compare equal") {
+    val r = CFPQResult(Map("S" -> Set((0, 1)), "T" -> Set.empty[(Int, Int)]), 3)
+    assert(r.relations.keySet == Set("S"))
+    assert(r == CFPQResult(Map("S" -> Set((0, 1))), 3))
+    assert(r.copy(relations = Map("U" -> Set.empty)).relations.isEmpty)
+  }
+
   test("MatrixInit collects label-matching edges per nonterminal, deduplicated") {
     val g = LabeledGraph(3, Vector((0, "a", 1), (0, "a", 1), (1, "b", 2), (2, "a", 0)))
     val cnf = CnfGrammar(

@@ -19,6 +19,17 @@ object EngineFixtures {
       CNF.transform(Grammar.parse("S -> S S | a S b | a b")), "S"),
   )
 
+  /** No binary rules: the closure adds nothing to `T₀`. No edge is labelled
+    * `c`, so `C` has an empty relation.
+    */
+  val termOnly: CnfGrammar = CnfGrammar(binary = Seq.empty, term = Seq(("A", "a"), ("B", "b"), ("C", "c")))
+
+  /** What every matrix engine must return for [[termOnly]]: exactly the
+    * initial cells, after one (no-change) iteration.
+    */
+  def termOnlyResult(graph: LabeledGraph): CFPQResult =
+    CFPQResult(MatrixInit.cells(graph, termOnly).map { case (nt, ps) => nt -> ps.toSet }, 1)
+
   def randomGraph(rnd: Random, alphabet: Seq[String], maxNodes: Int = 10): LabeledGraph = {
     val n = 2 + rnd.nextInt(maxNodes - 1)
     val m = 1 + rnd.nextInt(3 * n)
@@ -44,11 +55,11 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     val rnd = new Random(gname.hashCode * 1000 + i)
     val graph = randomGraph(rnd, cnf.terminals.toSeq.sorted)
     val truth = NaiveSetMatrixCFPQ.solve(graph, cnf)
-    val expect = truth.relations.filter(_._2.nonEmpty)
 
-    assert(DenseCFPQ.solve(graph, cnf).relations.filter(_._2.nonEmpty) == expect, "Dense")
-    assert(SparseCFPQ.solve(graph, cnf).relations.filter(_._2.nonEmpty) == expect, "Sparse")
-    assert(HellingsCFPQ.solve(graph, cnf).relations.filter(_._2.nonEmpty) == expect, "Hellings")
+    // Relations and iteration counts.
+    assert(DenseCFPQ.solve(graph, cnf) == truth, "Dense")
+    assert(SparseCFPQ.solve(graph, cnf) == truth, "Sparse")
+    assert(HellingsCFPQ.solve(graph, cnf).relations == truth.relations, "Hellings")
     assert(new GllCFPQ(orig, start).solve(graph)(start) == truth(start), "GLL")
   }
 
@@ -58,15 +69,26 @@ class EngineEquivalenceSpec extends AnyFunSuite {
   } test(s"[$gname #$i] Dense and Sparse report identical iteration counts") {
     val rnd = new Random(gname.hashCode * 77 + i)
     val graph = randomGraph(rnd, cnf.terminals.toSeq.sorted)
-    assert(DenseCFPQ.solve(graph, cnf).iterations == SparseCFPQ.solve(graph, cnf).iterations)
+    val naive = NaiveSetMatrixCFPQ.solve(graph, cnf).iterations
+    assert(DenseCFPQ.solve(graph, cnf).iterations == naive)
+    assert(SparseCFPQ.solve(graph, cnf).iterations == naive)
+  }
+
+  test("no binary rules: one iteration, exactly the initial cells, on every local matrix engine") {
+    for (i <- 0 until 4) {
+      val graph = randomGraph(new Random(31 + i), Seq("a", "b", "x"))
+      Seq(NaiveSetMatrixCFPQ, DenseCFPQ, SparseCFPQ).foreach { e =>
+        assert(e.solve(graph, termOnly) == termOnlyResult(graph), s"${e.name} #$i")
+      }
+    }
   }
 
   test("empty graph yields empty relations everywhere") {
     val graph = LabeledGraph(0, Vector.empty)
     val cnf = Queries.q1CnfPaper
-    assert(NaiveSetMatrixCFPQ.solve(graph, cnf).relations.values.forall(_.isEmpty))
-    assert(SparseCFPQ.solve(graph, cnf).relations.values.forall(_.isEmpty))
-    assert(DenseCFPQ.solve(graph, cnf).relations.values.forall(_.isEmpty))
+    assert(NaiveSetMatrixCFPQ.solve(graph, cnf).relations.isEmpty)
+    assert(SparseCFPQ.solve(graph, cnf).relations.isEmpty)
+    assert(DenseCFPQ.solve(graph, cnf).relations.isEmpty)
     assert(HellingsCFPQ.solve(graph, cnf).relations.isEmpty)
     assert(new GllCFPQ(Queries.q1, "S").solve(graph)("S").isEmpty)
   }
@@ -74,7 +96,7 @@ class EngineEquivalenceSpec extends AnyFunSuite {
   test("graph with no matching labels yields empty relations") {
     val graph = LabeledGraph(3, Vector((0, "unrelated", 1), (1, "unrelated", 2)))
     val r = SparseCFPQ.solve(graph, Queries.q1CnfPaper)
-    assert(r.relations.values.forall(_.isEmpty))
+    assert(r.relations.isEmpty)
     assert(r.iterations == 1) // single no-change iteration
   }
 

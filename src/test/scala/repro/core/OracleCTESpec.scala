@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, count, lit, round, sum}
 import repro.{Oracle, SparkSpec}
 import repro.cfg.{CNF, CnfGrammar, Grammar, Queries}
 import repro.data.Datasets
@@ -12,6 +12,7 @@ import repro.graph.LabeledGraph
   * The Spark DataFrame engine's output relation is checked row-for-row
   * against DuckDB via [[repro.Oracle.assertEquivalent]] — a wrong closure
   * step or broken kernel cannot produce "equivalent but wrong" output.
+  * The last two tests check the oracle itself on a grouped aggregate.
   */
 class OracleCTESpec extends SparkSpec {
 
@@ -125,5 +126,39 @@ class OracleCTESpec extends SparkSpec {
     val pairs = SparseCFPQ.solve(graph, Queries.q1CnfPaper)("S").toSeq
     val rs = spark.createDataset(pairs).toDF("i", "j")
     Oracle.assertEquivalent(rs, q1Sql, "edges" -> graph.toDF(spark))
+  }
+
+  /** A few line items, enough for each return flag to group several rows. */
+  private def lineitem: DataFrame = {
+    import spark.implicits._
+    Seq(("A", 17.0), ("N", 36.0), ("R", 8.5), ("A", 28.25), ("N", 2.0), ("N", 24.0))
+      .toDF("l_returnflag", "l_quantity")
+  }
+
+  test("oracle validates a grouped aggregate against DuckDB") {
+    val li = lineitem
+    val got = li.groupBy("l_returnflag")
+      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
+    Oracle.assertEquivalent(
+      got,
+      """SELECT l_returnflag,
+        |       count(*) AS cnt,
+        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
+        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
+      "lineitem" -> li,
+    )
+  }
+
+  test("oracle catches a wrong result (sanity of the oracle itself)") {
+    val li = lineitem
+    val wrong = li.groupBy("l_returnflag")
+      .agg((count(lit(1)) + 1).as("cnt")) // off by one
+    assertThrows[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        wrong,
+        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
+        "lineitem" -> li,
+      )
+    }
   }
 }

@@ -22,8 +22,8 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     val graph = randomGraph(rnd, cnf.terminals.toSeq.sorted, maxNodes = 8)
     val expect = SparseCFPQ.solve(graph, cnf)
     val got = df.solve(graph, cnf)
-    assert(got.relations == expect.relations.filter(_._2.nonEmpty))
-    assert(got.iterations == expect.iterations)
+    assert(got == expect) // relations and iteration count
+    assert(got.iterations == NaiveSetMatrixCFPQ.solve(graph, cnf).iterations)
   }
 
   for {
@@ -34,8 +34,15 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     val graph = randomGraph(rnd, cnf.terminals.toSeq.sorted, maxNodes = 9)
     val expect = SparseCFPQ.solve(graph, cnf)
     val got = new SparkBlockCFPQ(spark, blockSize = 4).solve(graph, cnf)
-    assert(got.relations == expect.relations.filter(_._2.nonEmpty))
-    assert(got.iterations == expect.iterations)
+    assert(got == expect) // relations and iteration count
+    assert(got.iterations == NaiveSetMatrixCFPQ.solve(graph, cnf).iterations)
+  }
+
+  test("no binary rules: one iteration, exactly the initial cells, on both Spark engines") {
+    val graph = randomGraph(new Random(37), Seq("a", "b", "x"), maxNodes = 9)
+    Seq(df, new SparkBlockCFPQ(spark, blockSize = 4)).foreach { e =>
+      assert(e.solve(graph, termOnly) == termOnlyResult(graph), e.name)
+    }
   }
 
   test("skos / Q1: all four engine families agree on R_S and result count") {

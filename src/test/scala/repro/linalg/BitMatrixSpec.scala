@@ -35,13 +35,6 @@ class BitMatrixSpec extends AnyFunSuite {
     assert(id.multiply(m).toPairs == m.toPairs)
   }
 
-  test("copyOf is independent of the original") {
-    val a = BitMatrix.fromPairs(4, Seq((1, 1)))
-    val b = a.copyOf
-    b.set(2, 2)
-    assert(!a(2, 2) && b(2, 2) && b(1, 1))
-  }
-
   for (i <- 0 until 15) {
     test(s"property #$i: multiply matches set-algebra reference (incl. >64 cols)") {
       val rnd = new Random(600 + i)

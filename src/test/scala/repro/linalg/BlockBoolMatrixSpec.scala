@@ -1,11 +1,25 @@
 package repro.linalg
 
+import org.apache.spark.sql.Dataset
 import repro.SparkSpec
+import repro.core.Materialize
 import scala.util.Random
 
 class BlockBoolMatrixSpec extends SparkSpec {
 
   private val selfRule = Seq(("A", "A", "A")) // A -> A A: plain Boolean square
+
+  /** The full product: partial products coalesced per block. */
+  private def multiply(t: Dataset[Block], rules: Seq[(String, String, String)],
+                       blockSize: Int): Dataset[Block] =
+    BlockBoolMatrix.coalesceBlocks(BlockBoolMatrix.multiplyPartials(spark, t, rules, blockSize))
+
+  /** Total set cells, as the closure loop counts them. */
+  private def nnz(t: Dataset[Block]): Long = {
+    val pinned = Materialize(t)(_.nnz.toLong)
+    pinned.release()
+    pinned.count
+  }
 
   test("fromPairs/collectPairs round-trip across blocks") {
     val cells = Map("A" -> Seq((0, 0), (0, 5), (5, 3), (7, 7)), "B" -> Seq((2, 6)))
@@ -18,24 +32,24 @@ class BlockBoolMatrixSpec extends SparkSpec {
   test("nnz counts cells across blocks and nonterminals") {
     val ds = BlockBoolMatrix.fromPairs(spark, 8, 4,
       Map("A" -> Seq((0, 0), (7, 7), (0, 0)), "B" -> Seq((1, 1))))
-    assert(BlockBoolMatrix.nnz(ds) == 3) // duplicate deduped
+    assert(nnz(ds) == 3) // duplicate deduped
   }
 
   test("nnz of an empty dataset is zero") {
     val ds = BlockBoolMatrix.fromPairs(spark, 8, 4, Map.empty[String, Seq[(Int, Int)]])
-    assert(BlockBoolMatrix.nnz(ds) == 0)
+    assert(nnz(ds) == 0)
   }
 
   test("multiply: two-hop reachability within one block") {
     val ds = BlockBoolMatrix.fromPairs(spark, 4, 4, Map("A" -> Seq((0, 1), (1, 2))))
-    val p = BlockBoolMatrix.multiply(spark, ds, selfRule, 4)
+    val p = multiply(ds, selfRule, 4)
     assert(BlockBoolMatrix.collectPairs(p, 4).getOrElse("A", Set.empty) == Set((0, 2)))
   }
 
   test("multiply: two-hop reachability across block boundary") {
     // (0,5) in block (0,1), (5,9) in block (1,2) with blockSize 4
     val ds = BlockBoolMatrix.fromPairs(spark, 12, 4, Map("A" -> Seq((0, 5), (5, 9))))
-    val p = BlockBoolMatrix.multiply(spark, ds, selfRule, 4)
+    val p = multiply(ds, selfRule, 4)
     assert(BlockBoolMatrix.collectPairs(p, 4).getOrElse("A", Set.empty) == Set((0, 9)))
   }
 
@@ -43,7 +57,7 @@ class BlockBoolMatrixSpec extends SparkSpec {
     // S -> A B and X -> B A over distinct matrices.
     val ds = BlockBoolMatrix.fromPairs(spark, 4, 4,
       Map("A" -> Seq((0, 1)), "B" -> Seq((1, 2))))
-    val p = BlockBoolMatrix.multiply(spark, ds, Seq(("S", "A", "B"), ("X", "B", "A")), 4)
+    val p = multiply(ds, Seq(("S", "A", "B"), ("X", "B", "A")), 4)
     val got = BlockBoolMatrix.collectPairs(p, 4)
     assert(got.getOrElse("S", Set.empty) == Set((0, 2)))
     assert(got.get("X").forall(_.isEmpty)) // B then A never connects here
@@ -52,7 +66,7 @@ class BlockBoolMatrixSpec extends SparkSpec {
   test("union merges per-nonterminal matrices") {
     val a = BlockBoolMatrix.fromPairs(spark, 8, 4, Map("A" -> Seq((0, 0))))
     val b = BlockBoolMatrix.fromPairs(spark, 8, 4, Map("A" -> Seq((0, 0), (7, 1)), "B" -> Seq((3, 3))))
-    val u = BlockBoolMatrix.collectPairs(BlockBoolMatrix.union(a, b), 4)
+    val u = BlockBoolMatrix.collectPairs(BlockBoolMatrix.coalesceBlocks(a.union(b)), 4)
     assert(u("A") == Set((0, 0), (7, 1)))
     assert(u("B") == Set((3, 3)))
   }
@@ -87,7 +101,7 @@ class BlockBoolMatrixSpec extends SparkSpec {
       val pairs = BoolRef.randomPairs(rnd, n, n, 0.12)
       val ds = BlockBoolMatrix.fromPairs(spark, n, bs, Map("A" -> pairs.toSeq))
       val got = BlockBoolMatrix.collectPairs(
-        BlockBoolMatrix.multiply(spark, ds, selfRule, bs), bs
+        multiply(ds, selfRule, bs), bs
       ).getOrElse("A", Set.empty)
       val csr = BoolCSR.fromPairs(n, n, pairs)
       assert(got == csr.multiply(csr).toPairs.toSet)

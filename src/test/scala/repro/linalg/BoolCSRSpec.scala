@@ -29,16 +29,18 @@ class BoolCSRSpec extends AnyFunSuite {
     assert(!m(1, 1) && !m(1, 3) && !m(0, 0) && !m(2, 4))
   }
 
+  private def row(m: BoolCSR, i: Int): Seq[Int] = m.colIdx.slice(m.rowPtr(i), m.rowPtr(i + 1)).toSeq
+
   test("row returns sorted column indices") {
     val m = BoolCSR.fromPairs(2, 5, Seq((0, 4), (0, 1), (0, 3)))
-    assert(m.row(0).toSeq == Seq(1, 3, 4))
-    assert(m.row(1).isEmpty)
+    assert(row(m, 0) == Seq(1, 3, 4))
+    assert(row(m, 1).isEmpty)
   }
 
   test("empty matrix has zero nnz and empty rows") {
-    val m = BoolCSR.empty(4, 4)
+    val m = BoolCSR.fromPairs(4, 4, Seq.empty)
     assert(m.nnz == 0)
-    (0 until 4).foreach(i => assert(m.row(i).isEmpty))
+    (0 until 4).foreach(i => assert(row(m, i).isEmpty))
   }
 
   test("multiply: identity behaves as identity") {
