@@ -51,7 +51,7 @@ object TableRunner {
     // Dense omitted on the repeated graphs, exactly as the paper omits dGPU.
     ("Dense", () => DenseCFPQ, d => d.repeatK == 1),
     ("SparseCSR", () => SparseCFPQ, _ => true),
-    ("SparkBlock", () => new SparkBlockCFPQ(spark, blockSize = 1024), _ => true),
+    ("SparkBlock", () => new SparkBlockCFPQ(spark), _ => true),
     ("SparkDF", () => new SparkDataFrameCFPQ(spark), _ => true),
     ("Hellings", () => HellingsCFPQ, _ => true),
   )

@@ -10,6 +10,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 final case class LabeledGraph(numNodes: Int, edges: Vector[(Int, String, Int)]) {
   require(numNodes >= 0)
+  for ((s, l, d) <- edges)
+    require(0 <= s && s < numNodes && 0 <= d && d < numNodes,
+      s"edge ($s, $l, $d) has a node id outside 0 until $numNodes")
 
   /** All labels present on edges. */
   lazy val labels: Set[String] = edges.iterator.map(_._2).toSet

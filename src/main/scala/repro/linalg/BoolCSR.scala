@@ -13,25 +13,13 @@ import scala.collection.mutable
   * @param rowPtr  length numRows+1; row i occupies colIdx[rowPtr(i) until rowPtr(i+1))
   * @param colIdx  column indices of set cells
   */
-final class BoolCSR private (val numRows: Int,
-                             val numCols: Int,
-                             val rowPtr: Array[Int],
-                             val colIdx: Array[Int]) extends Serializable {
+final class BoolCSR private[linalg] (val numRows: Int,
+                                     val numCols: Int,
+                                     val rowPtr: Array[Int],
+                                     val colIdx: Array[Int]) extends Serializable {
 
   /** Number of set cells. */
   def nnz: Int = colIdx.length
-
-  /** Is cell (i, j) set? Binary search within the row. */
-  def apply(i: Int, j: Int): Boolean = {
-    var lo = rowPtr(i); var hi = rowPtr(i + 1) - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      if (colIdx(mid) == j) return true
-      else if (colIdx(mid) < j) lo = mid + 1
-      else hi = mid - 1
-    }
-    false
-  }
 
   /** All set cells as (row, col) pairs. */
   def toPairs: Vector[(Int, Int)] = {

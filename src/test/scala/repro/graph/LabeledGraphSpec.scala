@@ -11,6 +11,13 @@ class LabeledGraphSpec extends SparkSpec {
     assert(LabeledGraph(Seq.empty[(Int, String, Int)]).numNodes == 0)
   }
 
+  test("node ids outside 0 until numNodes are rejected, naming the edge") {
+    val e = intercept[IllegalArgumentException](LabeledGraph(65, Vector((0, "a", 130))))
+    assert(e.getMessage.contains("(0, a, 130)"))
+    assertThrows[IllegalArgumentException](LabeledGraph(3, Vector((-1, "a", 0))))
+    assertThrows[IllegalArgumentException](LabeledGraph(0, Vector((0, "a", 0))))
+  }
+
   test("labels and byLabel views") {
     assert(g.labels == Set("a", "b"))
     assert(g.byLabel("a").toSet == Set((0, 1), (0, 2)))

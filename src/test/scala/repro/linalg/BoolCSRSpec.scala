@@ -23,12 +23,6 @@ class BoolCSRSpec extends AnyFunSuite {
     assert(m.nnz == 3)
   }
 
-  test("apply: membership via binary search") {
-    val m = BoolCSR.fromPairs(3, 5, Seq((1, 0), (1, 2), (1, 4)))
-    assert(m(1, 0) && m(1, 2) && m(1, 4))
-    assert(!m(1, 1) && !m(1, 3) && !m(0, 0) && !m(2, 4))
-  }
-
   private def row(m: BoolCSR, i: Int): Seq[Int] = m.colIdx.slice(m.rowPtr(i), m.rowPtr(i + 1)).toSeq
 
   test("row returns sorted column indices") {
