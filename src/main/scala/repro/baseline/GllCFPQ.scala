@@ -36,7 +36,6 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
     * called, complete only for `start`.
     */
   def solve(graph: LabeledGraph): CFPQResult = {
-    if (graph.numNodes == 0) return CFPQResult(Map.empty, 1)
     val n = graph.numNodes
     def gssKey(nt: String, v: Int): Long = ntIdx(nt).toLong * n + v
 
@@ -74,9 +73,7 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
       if (dot == rhs.length) pop(u, v)
       else rhs(dot) match {
         case T(x) =>
-          val outs = if (v < graph.outIndex.length)
-            graph.outIndex(v).getOrElse(x, Array.emptyIntArray) else Array.emptyIntArray
-          outs.foreach(v2 => addDesc(prod, dot + 1, u, v2))
+          graph.outIndex(v).getOrElse(x, Array.emptyIntArray).foreach(v2 => addDesc(prod, dot + 1, u, v2))
         case N(b) =>
           val u2 = gssKey(b, v)
           val edges = gssEdges.getOrElseUpdate(u2, mutable.Set.empty)

@@ -9,12 +9,12 @@ import repro.linalg.BlockBoolMatrix
   * paper's **sGPU** analog.
   *
   * The paper offloads CSR Boolean multiplications to CUSPARSE on a GPU;
-  * here the per-nonterminal matrices are tiled into sparse blocks spread
-  * over Spark partitions, each block a [[repro.linalg.BoolCSR]] tile, and
-  * every block-pair product of the closure step runs the same CSR kernel
-  * as [[SparseCFPQ]] (sCPU) inside a Spark task
+  * here the per-nonterminal matrices are tiled into [[repro.linalg.BoolCSR]]
+  * tiles of a pair RDD spread over Spark partitions, and every tile-pair
+  * product of the closure step runs the same CSR kernel as [[SparseCFPQ]]
+  * (sCPU) inside a Spark task
   * ([[repro.linalg.BlockBoolMatrix.multiplyPartials]]). Spark tasks over
-  * blocks stand in for CUDA thread blocks: the speedup mechanism (parallel
+  * tiles stand in for CUDA thread blocks: the speedup mechanism (parallel
   * sparse kernels on independent sub-matrices) is the same.
   *
   * @param spark     session to run on
@@ -25,12 +25,12 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
   override val name = "SparkBlock"
 
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    val init = BlockBoolMatrix.fromPairs(spark, blockSize, MatrixInit.cells(graph, grammar))
-    val (t, iterations) = Closure.run(Materialize(init)(_.nnz.toLong))(_.count, _.release()) { cur =>
-      // One fused shuffle per iteration: partial products + previous T
-      // coalesced together (T ∪ T·T in a single reduce stage).
-      val prod = BlockBoolMatrix.multiplyPartials(spark, cur.data, grammar.binary)
-      Materialize(BlockBoolMatrix.coalesceBlocks(cur.data.union(prod)))(_.nnz.toLong)
+    val init = BlockBoolMatrix.fromPairs(spark.sparkContext, blockSize, MatrixInit.cells(graph, grammar))
+    val (t, iterations) = Closure.run(Materialize(init)(_._2.nnz.toLong))(_.count, _.release()) { cur =>
+      // One job per iteration: the partial products and the previous T
+      // are unioned in a single reduce stage (T ∪ T·T).
+      val prod = BlockBoolMatrix.multiplyPartials(cur.data, grammar.byFirst)
+      Materialize(BlockBoolMatrix.coalesceBlocks(cur.data.union(prod)))(_._2.nnz.toLong)
     }
     val result = CFPQResult(BlockBoolMatrix.collectPairs(t.data), iterations)
     t.release()

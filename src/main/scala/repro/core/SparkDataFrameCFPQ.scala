@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col}
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
@@ -21,6 +21,16 @@ import repro.graph.LabeledGraph
   *
   * This is the engine whose output is checked against the DuckDB oracle:
   * the result is a plain DataFrame `(nt, src, dst)`.
+  *
+  * Each iteration's frame is rebuilt from the persisted rows of the last
+  * ([[Materialize]]), not from `Dataset.localCheckpoint()`. A local
+  * checkpoint truncates lineage but *carries over* the optimized plan's
+  * statistics into the resulting `LogicalRDD`; in this iterated self-join
+  * those `sizeInBytes` estimates compound multiplicatively (iteration k's
+  * plan multiplies iteration k−1's several times), so the BigInt estimate
+  * grows to ~3^k digits and Catalyst ends up spending minutes multiplying
+  * million-digit integers (observed on the wine graph at ~12 iterations).
+  * A frame over an RDD starts from default statistics every time.
   */
 final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
   override val name = "SparkDF"
@@ -44,16 +54,18 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
       .join(broadcast(termDf), col("label") === col("lab"))
       .select(col("nt"), col("src"), col("dst"))
       .distinct()
+    def frame(p: Materialize.Pinned[Row]): DataFrame = spark.createDataset(p.data)(init.encoder)
     // A row is one cell.
-    val (t, iterations) = Closure.run(Materialize(init)(_ => 1L))(_.count, _.release()) { cur =>
-      val l = cur.data.as("l")
-      val r = cur.data.as("r")
+    val (t, iterations) = Closure.run(Materialize(init.rdd)(_ => 1L))(_.count, _.release()) { p =>
+      val cur = frame(p)
+      val l = cur.as("l")
+      val r = cur.as("r")
       val prod = l
         .join(rulesDf, col("l.nt") === col("b"))
         .join(r, col("l.dst") === col("r.src") && col("r.nt") === col("c"))
         .select(col("a").as("nt"), col("l.src").as("src"), col("r.dst").as("dst"))
-      Materialize(cur.data.union(prod).distinct())(_ => 1L)
+      Materialize(cur.union(prod).distinct().rdd)(_ => 1L)
     }
-    (t.data, iterations)
+    (frame(t), iterations)
   }
 }

@@ -13,10 +13,10 @@ import scala.collection.mutable
   * @param rowPtr  length numRows+1; row i occupies colIdx[rowPtr(i) until rowPtr(i+1))
   * @param colIdx  column indices of set cells
   */
-final class BoolCSR private[linalg] (val numRows: Int,
-                                     val numCols: Int,
-                                     val rowPtr: Array[Int],
-                                     val colIdx: Array[Int]) extends Serializable {
+final class BoolCSR private (val numRows: Int,
+                             val numCols: Int,
+                             val rowPtr: Array[Int],
+                             val colIdx: Array[Int]) extends Serializable {
 
   /** Number of set cells. */
   def nnz: Int = colIdx.length

@@ -1,6 +1,9 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
 import scala.util.Random
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.cfg.Queries
 import repro.data.Datasets
@@ -74,6 +77,33 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     for (bs <- Seq(1, 7, 64, 4096)) {
       assert(new SparkBlockCFPQ(spark, bs).solve(graph, cnf)("S") == expect, s"blockSize=$bs")
     }
+  }
+
+  test("SparkBlock runs one Spark job per closure step, plus the initial count and the collect") {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val sentinelSeen = new CountDownLatch(1)
+    def group(e: SparkListenerJobStart) = Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = group(e) match {
+        case Some("SparkBlock solve") => jobs.incrementAndGet()
+        case Some("sentinel") => sentinelSeen.countDown()
+        case _ =>
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("SparkBlock solve", "SparkBlock solve")
+      val got = try new SparkBlockCFPQ(spark, blockSize = 32).solve(Datasets.skos.graph, Queries.q1CnfPaper)
+                finally sc.clearJobGroup()
+      // Listener events arrive in order: once the sentinel job's start is
+      // seen, so are the starts of every job of the solve.
+      sc.setJobGroup("sentinel", "sentinel")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      assert(sentinelSeen.await(60, TimeUnit.SECONDS), "listener saw no sentinel job")
+      assert(got.iterations > 2)
+      assert(jobs.get == got.iterations + 2)
+    } finally sc.removeSparkListener(listener)
   }
 
   private lazy val LabeledGraph_small =
