@@ -35,32 +35,51 @@ object Closure {
   }
 }
 
-/** Algorithm 1 over one local Boolean matrix `M_A` per nonterminal. One
-  * closure step computes, against the pre-iteration `T`,
-  * `P_A = ⋃_{A→BC} M_B × M_C` for every left-hand side `A` and then
-  * `M_A ← M_A ∪ P_A` (that is `T ← T ∪ (T·T)`). Engines supply only the
-  * matrix kernel.
+/** Algorithm 1 over one local Boolean matrix `M_A` per nonterminal,
+  * evaluated semi-naively (Bancilhon & Ramakrishnan 1986). With `Δ` the
+  * cells new in the last step (`Δ₀ = T₀`), one closure step computes, for
+  * every left-hand side `A`,
+  * `Δ'_A = (⋃_{A→BC} Δ_B × M_C ∪ M_B × Δ_C) ∖ M_A` in one masked kernel
+  * call against the pre-iteration `T`, and then `M_A ← M_A ∪ Δ'_A`.
+  *
+  * The iterates are Algorithm 1's: with `T` the previous iterate, `T ∪ Δ`
+  * the current one and `T·T ⊆ T ∪ Δ`, the naive product
+  * `(T ∪ Δ)·(T ∪ Δ)` adds to `T ∪ Δ` exactly what `Δ·(T ∪ Δ) ∪ (T ∪ Δ)·Δ`
+  * adds. So the iteration count is the naive one, and the fixpoint test
+  * reads `Σ|Δ'|` (`Δ'` empty ⇔ no change). Engines supply only the kernel.
   */
 abstract class LocalMatrixCFPQ[M] extends CFPQEngine {
 
   protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): M
-  protected def multiply(a: M, b: M): M
+
+  /** `(⋃_{(a, b) ∈ terms} a × b) ∖ mask`: the product cells not in `mask`. */
+  protected def multiplyMasked(terms: Seq[(M, M)], mask: M): M
 
   /** `a ∪ b`; it may update `a` in place and return it. */
   protected def union(a: M, b: M): M
   protected def cells(m: M): Long
   protected def toPairs(m: M): Seq[(Int, Int)]
 
-  final override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
+  override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val n = math.max(graph.numNodes, 1)
     val init = MatrixInit.cells(graph, grammar)
     val t0 = grammar.nonterminals.iterator.map(nt => nt -> fromPairs(n, init.getOrElse(nt, Seq.empty))).toMap
     val rulesByLhs = grammar.binary.groupBy(_._1)
-    val (t, iterations) = Closure.run(t0)(_.values.map(cells).sum) { t =>
-      val products = rulesByLhs.map { case (a, rules) =>
-        a -> rules.map { case (_, b, c) => multiply(t(b), t(c)) }.reduce(union)
-      }
-      t ++ products.map { case (a, p) => a -> union(t(a), p) }
+    // State: T, the non-empty Δs (an absent Δ is empty) and |T|.
+    val sizes0 = t0.map { case (nt, m) => nt -> cells(m) }
+    val start = (t0, t0.filter { case (nt, _) => sizes0(nt) > 0 }, sizes0.values.sum)
+    val ((t, _, _), iterations) = Closure.run(start)(_._3) { case (t, delta, size) =>
+      val fresh = for {
+        (a, rules) <- rulesByLhs.toSeq
+        terms = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) ++ delta.get(c).map(t(b) -> _) }
+        if terms.nonEmpty
+        d = multiplyMasked(terms, t(a))
+        added = cells(d)
+        if added > 0
+      } yield (a, d, added)
+      (t ++ fresh.map { case (a, d, _) => a -> union(t(a), d) },
+        fresh.map { case (a, d, _) => a -> d }.toMap,
+        size + fresh.map(_._3).sum)
     }
     CFPQResult(t.map { case (nt, m) => nt -> toPairs(m).toSet }, iterations)
   }

@@ -14,7 +14,8 @@ object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR] {
   override val name = "SparseCSR"
 
   protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): BoolCSR = BoolCSR.fromPairs(n, n, pairs)
-  protected def multiply(a: BoolCSR, b: BoolCSR): BoolCSR = a.multiply(b)
+  protected def multiplyMasked(terms: Seq[(BoolCSR, BoolCSR)], mask: BoolCSR): BoolCSR =
+    BoolCSR.multiplyMasked(terms, Some(mask))
   protected def union(a: BoolCSR, b: BoolCSR): BoolCSR = a.union(b)
   protected def cells(m: BoolCSR): Long = m.nnz.toLong
   protected def toPairs(m: BoolCSR): Seq[(Int, Int)] = m.toPairs

@@ -33,38 +33,10 @@ final class BoolCSR private (val numRows: Int,
     b.result()
   }
 
-  /** Boolean matrix product `this × that` (SpGEMM with a bitset accumulator). */
-  def multiply(that: BoolCSR): BoolCSR = {
-    require(numCols == that.numRows, s"dim mismatch: ${numCols}x? * ${that.numRows}x?")
-    val outPtr = new Array[Int](numRows + 1)
-    val rows = new Array[Array[Int]](numRows)
-    val acc = new java.util.BitSet(that.numCols)
-    var i = 0
-    while (i < numRows) {
-      acc.clear()
-      var p = rowPtr(i)
-      while (p < rowPtr(i + 1)) {
-        val k = colIdx(p)
-        var q = that.rowPtr(k)
-        while (q < that.rowPtr(k + 1)) { acc.set(that.colIdx(q)); q += 1 }
-        p += 1
-      }
-      val cnt = acc.cardinality()
-      val r = new Array[Int](cnt)
-      var j = acc.nextSetBit(0); var w = 0
-      while (j >= 0) { r(w) = j; w += 1; j = acc.nextSetBit(j + 1) }
-      rows(i) = r
-      outPtr(i + 1) = outPtr(i) + cnt
-      i += 1
-    }
-    val outIdx = new Array[Int](outPtr(numRows))
-    i = 0
-    while (i < numRows) {
-      System.arraycopy(rows(i), 0, outIdx, outPtr(i), rows(i).length)
-      i += 1
-    }
-    new BoolCSR(numRows, that.numCols, outPtr, outIdx)
-  }
+  /** Boolean matrix product `this × that`: [[BoolCSR.multiplyMasked]]
+    * with one term and no mask.
+    */
+  def multiply(that: BoolCSR): BoolCSR = BoolCSR.multiplyMasked(Seq(this -> that), None)
 
   /** Boolean union (elementwise OR) — merge of sorted rows. */
   def union(that: BoolCSR): BoolCSR = {
@@ -105,6 +77,66 @@ final class BoolCSR private (val numRows: Int,
 }
 
 object BoolCSR {
+
+  /** Complement-masked sum of products, `C⟨¬mask⟩ = ⋃_{(a, b) ∈ terms} a × b`
+    * (GraphBLAS's masked `mxm`): the cells of the summed products that are
+    * not in `mask`.
+    *
+    * Fused SpGEMM: one sparse accumulator per output row serves every term
+    * (a stamp array plus a list of the columns touched, sorted on emit).
+    * The mask row is stamped first, so a known cell is never added, and a
+    * row whose left operands are all empty is skipped.
+    */
+  def multiplyMasked(terms: Seq[(BoolCSR, BoolCSR)], mask: Option[BoolCSR]): BoolCSR = {
+    require(terms.nonEmpty, "multiplyMasked needs at least one term")
+    val numRows = terms.head._1.numRows
+    val numCols = terms.head._2.numCols
+    for ((a, b) <- terms)
+      require(a.numCols == b.numRows && a.numRows == numRows && b.numCols == numCols,
+        s"dim mismatch: ${a.numRows}x${a.numCols} * ${b.numRows}x${b.numCols} in a ${numRows}x$numCols sum")
+    mask.foreach(m => require(m.numRows == numRows && m.numCols == numCols, "dim mismatch in mask"))
+    val as = terms.map(_._1).toArray
+    val bs = terms.map(_._2).toArray
+    val m = mask.orNull
+    // stamp(j) == i + 1: column j is already in row i (masked or added).
+    val stamp = new Array[Int](numCols)
+    val touched = new Array[Int](numCols)
+    val outPtr = new Array[Int](numRows + 1)
+    val out = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (i < numRows) {
+      var t = 0
+      while (t < as.length && as(t).rowPtr(i) == as(t).rowPtr(i + 1)) t += 1
+      var cnt = 0
+      if (t < as.length) {
+        val mark = i + 1
+        if (m != null) {
+          var p = m.rowPtr(i)
+          while (p < m.rowPtr(i + 1)) { stamp(m.colIdx(p)) = mark; p += 1 }
+        }
+        while (t < as.length) {
+          val a = as(t); val b = bs(t)
+          var p = a.rowPtr(i)
+          while (p < a.rowPtr(i + 1)) {
+            val k = a.colIdx(p)
+            var q = b.rowPtr(k)
+            while (q < b.rowPtr(k + 1)) {
+              val j = b.colIdx(q)
+              if (stamp(j) != mark) { stamp(j) = mark; touched(cnt) = j; cnt += 1 }
+              q += 1
+            }
+            p += 1
+          }
+          t += 1
+        }
+        java.util.Arrays.sort(touched, 0, cnt)
+        out.addAll(touched, 0, cnt)
+      }
+      outPtr(i + 1) = outPtr(i) + cnt
+      i += 1
+    }
+    new BoolCSR(numRows, numCols, outPtr, out.result())
+  }
 
   /** Build from (row, col) pairs (duplicates allowed). */
   def fromPairs(numRows: Int, numCols: Int, pairs: IterableOnce[(Int, Int)]): BoolCSR = {

@@ -93,6 +93,16 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     assert(new GllCFPQ(Queries.q1, "S").solve(graph)("S").isEmpty)
   }
 
+  test("Dense fails fast, naming both sizes, when its matrices cannot fit in the heap") {
+    val graph = LabeledGraph(2000000, Vector((0, "a", 1)))
+    val cnf = CnfGrammar(binary = Seq(("S", "A", "S"), ("S", "A", "A")), term = Seq(("A", "a")))
+    // T_S and T_A, plus the old and the new Δ_S: 4 matrices of 2,000,000 rows × 31,250 words.
+    val bytes = 4L * 2000000L * 31250L * 8L
+    val e = intercept[IllegalArgumentException](DenseCFPQ.solve(graph, cnf))
+    assert(e.getMessage.contains(s"$bytes bytes"), e.getMessage)
+    assert(e.getMessage.contains(s"${Runtime.getRuntime.maxMemory}-byte heap"), e.getMessage)
+  }
+
   test("graph with no matching labels yields empty relations") {
     val graph = LabeledGraph(3, Vector((0, "unrelated", 1), (1, "unrelated", 2)))
     val r = SparseCFPQ.solve(graph, Queries.q1CnfPaper)

@@ -1,0 +1,56 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertyChecks
+import repro.cfg.CnfGrammar
+import repro.graph.LabeledGraph
+
+/** Dense and SparseCSR against the literal Algorithm 1
+  * ([[NaiveSetMatrixCFPQ]]) on generated labeled graphs × generated CNF
+  * grammars: equal relations and equal iteration counts.
+  */
+class GeneratedEquivalenceSpec extends AnyFunSuite with PropertyChecks {
+  import GeneratedEquivalenceSpec._
+
+  test("Dense and SparseCSR equal NaiveSetMatrix in relations and iterations (generated graphs x CNF grammars)") {
+    checkProperty(Prop.forAllNoShrink(genGraph, genGrammar) { (graph, cnf) =>
+      val truth = NaiveSetMatrixCFPQ.solve(graph, cnf)
+      Prop(DenseCFPQ.solve(graph, cnf) == truth) :| "Dense" &&
+        Prop(SparseCFPQ.solve(graph, cnf) == truth) :| "SparseCSR"
+    }, seed = 1986L, successes = 150)
+  }
+}
+
+object GeneratedEquivalenceSpec {
+
+  private val nonterminals = Seq("A", "B", "C", "D")
+  private val terminals = Seq("a", "b", "c")
+
+  /** Up to 9 nodes, self-loops included; label `z` matches no terminal rule. */
+  val genGraph: Gen[LabeledGraph] = Gen.choose(0, 9).flatMap {
+    case 0 => Gen.const(LabeledGraph(0, Vector.empty))
+    case n =>
+      val edge = for {
+        s <- Gen.choose(0, n - 1)
+        loop <- Gen.prob(0.15)
+        d <- if (loop) Gen.const(s) else Gen.choose(0, n - 1)
+        l <- Gen.oneOf(terminals :+ "z")
+      } yield (s, l, d)
+      Gen.choose(0, 3 * n).flatMap(Gen.listOfN(_, edge)).map(es => LabeledGraph(n, es.toVector))
+  }
+
+  /** Random `A → BC` and `A → x` rules over four nonterminals: `A → AA`
+    * often, no binary rule at all sometimes, and nonterminals that no edge
+    * or rule body can derive.
+    */
+  val genGrammar: Gen[CnfGrammar] = for {
+    term <- Gen.nonEmptyListOf(Gen.zip(Gen.oneOf(nonterminals), Gen.oneOf(terminals :+ "y")))
+    k <- Gen.frequency(1 -> Gen.const(0), 5 -> Gen.choose(1, 6))
+    binary <- Gen.listOfN(k, Gen.zip(Gen.oneOf(nonterminals), Gen.oneOf(nonterminals), Gen.oneOf(nonterminals)))
+    selfRule <- Gen.prob(0.4)
+  } yield CnfGrammar(
+    binary = (if (selfRule && k > 0) ("A", "A", "A") +: binary else binary).distinct,
+    term = term.take(4).distinct,
+  )
+}

@@ -35,6 +35,38 @@ class BitMatrixSpec extends AnyFunSuite {
     assert(id.multiply(m).toPairs == m.toPairs)
   }
 
+  test("toPairs lists cells row-major ascending across word boundaries (n % 64 != 0)") {
+    val cells = Vector((0, 0), (0, 63), (0, 64), (0, 129), (1, 127), (1, 128), (64, 65), (129, 0), (129, 129))
+    val m = BitMatrix.fromPairs(130, cells.reverse)
+    assert(m.toPairs == cells)
+    assert(BitMatrix.fromPairs(70, Seq.empty).toPairs.isEmpty)
+  }
+
+  test("a matrix too large for one array fails fast instead of wrapping its size") {
+    // 524,288 × 8,192 words wraps to 0 in Int arithmetic; 600,000 × 9,375 to a wrong positive size.
+    for (n <- Seq(524288, 600000)) {
+      val e = intercept[IllegalArgumentException](new BitMatrix(n))
+      assert(e.getMessage.contains(s"${n.toLong * ((n + 63) / 64)} words"), e.getMessage)
+    }
+  }
+
+  test("multiplyMasked sums the terms' products and leaves out the mask's cells") {
+    val a = BitMatrix.fromPairs(70, Seq((0, 1), (2, 69)))
+    val b = BitMatrix.fromPairs(70, Seq((1, 5), (1, 66), (69, 3)))
+    val c = BitMatrix.fromPairs(70, Seq((0, 2)))
+    val d = BitMatrix.fromPairs(70, Seq((2, 7)))
+    val mask = BitMatrix.fromPairs(70, Seq((0, 66), (2, 3)))
+    val p = BitMatrix.multiplyMasked(Seq(a -> b, c -> d), Some(mask))
+    assert(p.toPairs == Vector((0, 5), (0, 7)))
+    // The kernel counts its cells; later writes keep the count right.
+    assert(p.cardinality == 2)
+    p.set(69, 69)
+    assert(p.cardinality == 3)
+    assert(p.orInPlace(mask) && p.cardinality == 5)
+    assert(BitMatrix.multiplyMasked(Seq(a -> b, c -> d), None).toPairs == Vector((0, 5), (0, 7), (0, 66), (2, 3)))
+    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq(a -> new BitMatrix(3)), None))
+  }
+
   for (i <- 0 until 15) {
     test(s"property #$i: multiply matches set-algebra reference (incl. >64 cols)") {
       val rnd = new Random(600 + i)

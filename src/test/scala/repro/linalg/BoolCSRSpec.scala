@@ -56,6 +56,20 @@ class BoolCSRSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](b.multiply(a))
   }
 
+  test("multiplyMasked sums the terms' products and leaves out the mask's cells") {
+    val a = BoolCSR.fromPairs(3, 3, Seq((0, 1), (2, 2)))
+    val b = BoolCSR.fromPairs(3, 4, Seq((1, 0), (1, 3), (2, 1)))
+    val c = BoolCSR.fromPairs(3, 2, Seq((0, 0)))
+    val d = BoolCSR.fromPairs(2, 4, Seq((0, 2), (0, 3)))
+    val mask = BoolCSR.fromPairs(3, 4, Seq((0, 3), (2, 1)))
+    val got = BoolCSR.multiplyMasked(Seq(a -> b, c -> d), Some(mask))
+    assert(got.toPairs == Vector((0, 0), (0, 2)))
+    assert(row(got, 1).isEmpty && row(got, 2).isEmpty)
+    assert(BoolCSR.multiplyMasked(Seq(a -> b, c -> d), None).toPairs == Vector((0, 0), (0, 2), (0, 3), (2, 1)))
+    assertThrows[IllegalArgumentException](BoolCSR.multiplyMasked(Seq(a -> d), None))
+    assertThrows[IllegalArgumentException](BoolCSR.multiplyMasked(Seq(a -> b), Some(a)))
+  }
+
   test("union merges rows and deduplicates") {
     val a = BoolCSR.fromPairs(2, 3, Seq((0, 0), (0, 2)))
     val b = BoolCSR.fromPairs(2, 3, Seq((0, 1), (0, 2), (1, 0)))
