@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
-/** Iteration-safe materialization for the Spark fixpoint loops: persist a
+/** Iteration-safe materialization for SparkDF's fixpoint loop: persist a
   * closure state and count its cells in the one job that fills the cache.
   * The previous iteration's state is released by [[Closure.run]] once the
   * new one is live.

@@ -1,16 +1,15 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop}
-import org.scalatest.funsuite.AnyFunSuite
-import repro.PropertyChecks
+import repro.{PropertyChecks, SparkSpec}
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
 
-/** Dense and SparseCSR against the literal Algorithm 1
+/** Dense, SparseCSR and SparkBlock against the literal Algorithm 1
   * ([[NaiveSetMatrixCFPQ]]) on generated labeled graphs × generated CNF
   * grammars: equal relations and equal iteration counts.
   */
-class GeneratedEquivalenceSpec extends AnyFunSuite with PropertyChecks {
+class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
   import GeneratedEquivalenceSpec._
 
   test("Dense and SparseCSR equal NaiveSetMatrix in relations and iterations (generated graphs x CNF grammars)") {
@@ -19,6 +18,16 @@ class GeneratedEquivalenceSpec extends AnyFunSuite with PropertyChecks {
       Prop(DenseCFPQ.solve(graph, cnf) == truth) :| "Dense" &&
         Prop(SparseCFPQ.solve(graph, cnf) == truth) :| "SparseCSR"
     }, seed = 1986L, successes = 150)
+  }
+
+  test("SparkBlock equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted (block sizes 1, 2, 3, 16)") {
+    val sc = spark.sparkContext
+    checkProperty(Prop.forAllNoShrink(genGraph, genGrammar, Gen.oneOf(1, 2, 3, 16)) { (graph, cnf, bs) =>
+      val persisted = sc.getPersistentRDDs.keySet
+      val got = new SparkBlockCFPQ(spark, bs).solve(graph, cnf)
+      Prop(got == NaiveSetMatrixCFPQ.solve(graph, cnf)) :| s"SparkBlock, blockSize $bs" &&
+        Prop(sc.getPersistentRDDs.keySet == persisted) :| s"persisted RDDs left by a solve, blockSize $bs"
+    }, seed = 2016L, successes = 60)
   }
 }
 

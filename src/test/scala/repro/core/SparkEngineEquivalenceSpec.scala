@@ -1,9 +1,9 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import scala.util.Random
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.cfg.Queries
 import repro.data.Datasets
@@ -79,17 +79,22 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     }
   }
 
-  test("SparkBlock runs one Spark job per closure step, plus the initial count and the collect") {
+  test("SparkBlock runs exactly one Spark job per closure step and writes no shuffle") {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
+    val shuffleBytes = new AtomicLong
+    val stages = ConcurrentHashMap.newKeySet[Int]()
     val sentinelSeen = new CountDownLatch(1)
     def group(e: SparkListenerJobStart) = Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = group(e) match {
-        case Some("SparkBlock solve") => jobs.incrementAndGet()
+        case Some("SparkBlock solve") => jobs.incrementAndGet(); e.stageIds.foreach(stages.add(_))
         case Some("sentinel") => sentinelSeen.countDown()
         case _ =>
       }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
     }
     sc.addSparkListener(listener)
     try {
@@ -97,13 +102,22 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
       val got = try new SparkBlockCFPQ(spark, blockSize = 32).solve(Datasets.skos.graph, Queries.q1CnfPaper)
                 finally sc.clearJobGroup()
       // Listener events arrive in order: once the sentinel job's start is
-      // seen, so are the starts of every job of the solve.
+      // seen, so are the starts and task ends of every job of the solve.
       sc.setJobGroup("sentinel", "sentinel")
       try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
       assert(sentinelSeen.await(60, TimeUnit.SECONDS), "listener saw no sentinel job")
       assert(got.iterations > 2)
-      assert(jobs.get == got.iterations + 2)
+      assert(jobs.get == got.iterations)
+      assert(!stages.isEmpty)
+      assert(shuffleBytes.get == 0)
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("SparkBlock rejects a block size below 1, naming it") {
+    for (bs <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](new SparkBlockCFPQ(spark, bs))
+      assert(e.getMessage.contains(s"blockSize must be positive, got $bs"))
+    }
   }
 
   private lazy val LabeledGraph_small =
