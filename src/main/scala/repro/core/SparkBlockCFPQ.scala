@@ -7,25 +7,20 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
-import repro.linalg.BlockBoolMatrix.{Key, Tiles, absorb, colOf, colSide, rowOf, rowSide}
-import repro.linalg.{BlockBoolMatrix, BoolCSR}
+import repro.linalg.BoolCSR
 
 /** Algorithm 1 over a *distributed block-sparse* Boolean matrix — the
-  * paper's **sGPU** analog.
-  *
-  * The paper offloads CSR Boolean multiplications to CUSPARSE on a GPU;
-  * here the per-nonterminal matrices are tiled into [[repro.linalg.BoolCSR]]
-  * tiles of a pair RDD spread over Spark partitions, and every tile product
-  * runs the same masked CSR kernel as [[SparseCFPQ]] (sCPU) inside a Spark
-  * task. Spark tasks over tiles stand in for CUDA thread blocks: the
-  * speedup mechanism (parallel sparse kernels on independent sub-matrices)
-  * is the same.
+  * paper's **sGPU** analog. The paper offloads CSR Boolean multiplications
+  * to CUSPARSE on a GPU; here the per-nonterminal matrices are tiled into
+  * [[repro.linalg.BoolCSR]] tiles of a pair RDD, and each output tile of a
+  * step is one call of [[SparseCFPQ]]'s (sCPU) masked kernel inside a
+  * Spark task, standing in for a CUDA thread block.
   *
   * The closure is [[LocalMatrixCFPQ]]'s semi-naive step with `T` kept in
-  * place: `T` is persisted twice, placed by block row and by block column
-  * ([[repro.linalg.BlockBoolMatrix]]), and only `Δ` moves, broadcast from
-  * the driver. A step absorbs `Δ` into both copies and collects
-  * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A` from them: one Spark job with
+  * place: `T` is persisted once, each tile on the partitions of its block
+  * row and of its block column, and only `Δ` moves, broadcast from the
+  * driver. A step absorbs `Δ` into `T` and collects
+  * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A` from it: one Spark job with
   * no shuffle. The driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ` needs
   * no further job.
   *
@@ -34,6 +29,7 @@ import repro.linalg.{BlockBoolMatrix, BoolCSR}
   *                  block, large ones fan out across the cluster
   */
 final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends CFPQEngine {
+  import SparkBlockCFPQ._
   require(blockSize > 0, s"blockSize must be positive, got $blockSize")
   override val name = "SparkBlock"
 
@@ -41,27 +37,110 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
     val sc = spark.sparkContext
     val blockRows = (math.max(graph.numNodes, 1) + blockSize - 1) / blockSize
     val empty = sc.parallelize(Seq.empty[(Key, BoolCSR)], math.min(sc.defaultParallelism, blockRows))
-    val t0 = BlockBoolMatrix.tile(blockSize, MatrixInit.cells(graph, grammar))
+    val t0 = tile(blockSize, MatrixInit.cells(graph, grammar))
     val deltas = ListBuffer(t0)
+    val cached = ListBuffer.empty[RDD[(Key, BoolCSR)]]
     val broadcasts = ListBuffer.empty[Broadcast[Tiles]]
-    // State: T placed by block row, T placed by block column (both without
-    // Δ yet), Δ on the driver (Δ₀ = T₀) and |T ∪ Δ|.
-    def release(s: (RDD[(Key, BoolCSR)], RDD[(Key, BoolCSR)], Tiles, Long)): Unit = {
-      s._1.unpersist(blocking = false); s._2.unpersist(blocking = false)
-    }
-    val (last, iterations) = try {
-      Closure.run((empty, empty, t0, BlockBoolMatrix.nnz(t0)))(_._4, release) { case (r, c, delta, size) =>
+    // State: T without Δ yet, Δ on the driver (Δ₀ = T₀) and |T ∪ Δ|.
+    val (_, iterations) = try {
+      Closure.run((empty, t0, nnz(t0)))(_._3, _._1.unpersist(blocking = false)) { case (t, delta, size) =>
         val d = sc.broadcast(delta)
         broadcasts += d
-        val r2 = absorb(r, d, rowOf).persist(StorageLevel.MEMORY_AND_DISK)
-        val c2 = absorb(c, d, colOf).persist(StorageLevel.MEMORY_AND_DISK)
-        val fresh = rowSide(r2, d, grammar.byFirst).union(colSide(c2, d, grammar.bySecond))
-          .collect().groupMapReduce(_._1)(_._2)(_ union _)
+        val t2 = absorb(t, d).persist(StorageLevel.MEMORY_AND_DISK)
+        cached += t2
+        val fresh = step(t2, d, grammar).collect().groupMapReduce(_._1)(_._2)(_ union _)
         deltas += fresh
-        (r2, c2, fresh, size + BlockBoolMatrix.nnz(fresh))
+        (t2, fresh, size + nnz(fresh))
       }
-    } finally broadcasts.foreach(_.destroy())
-    release(last)
-    CFPQResult(BlockBoolMatrix.cells(deltas), iterations)
+    } finally {
+      // The last state; after a failed step, the one it started from too.
+      cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
+      broadcasts.foreach(_.destroy())
+    }
+    CFPQResult(cells(deltas), iterations)
+  }
+}
+
+/** SparkBlock's tiles. The matrix of nonterminal `nt` is `n×n`, tiled into
+  * square blocks of side `blockSize`; the tile at key `(nt, bi, bj)` covers
+  * rows `[bi·bs, (bi+1)·bs)` and columns `[bj·bs, (bj+1)·bs)` and holds its
+  * cells in block-local coordinates.
+  */
+object SparkBlockCFPQ {
+
+  /** A tile's nonterminal, block row and block column. */
+  type Key = (String, Int, Int)
+
+  /** Tiles held on the driver. */
+  type Tiles = Map[Key, BoolCSR]
+
+  /** Tile a set of per-nonterminal cell lists. */
+  private[repro] def tile(blockSize: Int, cells: Map[String, Seq[(Int, Int)]]): Tiles =
+    cells.flatMap { case (nt, pairs) =>
+      pairs
+        .groupBy { case (i, j) => (i / blockSize, j / blockSize) }
+        .map { case ((bi, bj), ps) =>
+          (nt, bi, bj) -> BoolCSR.fromPairs(blockSize, blockSize,
+            ps.map { case (i, j) => (i - bi * blockSize, j - bj * blockSize) })
+        }
+    }
+
+  /** Per-nonterminal global (row, col) cells of several tile sets. */
+  private[repro] def cells(tiles: Iterable[Tiles]): Map[String, Set[(Int, Int)]] =
+    tiles.iterator.flatten.toSeq.groupMap(_._1._1) { case ((_, bi, bj), m) =>
+      m.toPairs.map { case (i, j) => (bi * m.numRows + i, bj * m.numCols + j) }
+    }.map { case (nt, ps) => nt -> ps.flatten.toSet }
+
+  /** Total set cells. */
+  private[repro] def nnz(tiles: Tiles): Long = tiles.valuesIterator.map(_.nnz.toLong).sum
+
+  /** `T ∪ Δ` in place: partition `p` of `P` holds the tiles whose block row
+    * or block column is `p` modulo `P`, so a tile lives on one partition
+    * when `bi ≡ bj (mod P)` and on two otherwise. Over an empty RDD this
+    * places `delta` itself.
+    */
+  private[repro] def absorb(t: RDD[(Key, BoolCSR)], delta: Broadcast[Tiles]): RDD[(Key, BoolCSR)] = {
+    val parts = t.getNumPartitions
+    t.mapPartitionsWithIndex { (p, it) =>
+      val local = it.toMap
+      val own = delta.value.iterator.filter { case ((_, bi, bj), _) => bi % parts == p || bj % parts == p }
+      (local ++ own.map { case (key, d) => key -> local.get(key).fold(d)(_ union d) }).iterator
+    }
+  }
+
+  /** One semi-naive step over `t ⊇ Δ` placed by [[absorb]]: the non-empty
+    * tiles of `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A`, one masked kernel
+    * call per output tile of a partition. An output tile made on two
+    * partitions comes out twice; the caller unions the copies.
+    */
+  private[repro] def step(t: RDD[(Key, BoolCSR)], delta: Broadcast[Tiles], grammar: CnfGrammar): RDD[(Key, BoolCSR)] = {
+    val parts = t.getNumPartitions
+    val (byFirst, bySecond) = (grammar.byFirst, grammar.bySecond)
+    t.mapPartitionsWithIndex { (p, it) =>
+      val local = it.toMap
+      val d = delta.value
+      val dByRow = d.toSeq.groupMap { case ((nt, k, _), _) => (nt, k) } { case ((_, _, bj), m) => bj -> m }
+      val dByCol = d.toSeq.groupMap { case ((nt, _, k), _) => (nt, k) } { case ((_, bi, _), m) => bi -> m }
+      // Row terms only from the tiles of block rows ≡ p, column terms only
+      // from those of block columns ≡ p: each term is then made once, and
+      // where its output tile's mask T_A(bi, bj) is held, as the output
+      // shares the operand's block row (or column). Taken from every local
+      // tile, a tile held twice would make its terms twice, once without
+      // the mask. Where bi ≡ bj, both kinds of term meet in one call.
+      val rowTerms = for {
+        ((b, bi, k), tb) <- local.iterator if bi % parts == p
+        (a, c) <- byFirst.getOrElse(b, Nil)
+        (bj, dc) <- dByRow.getOrElse((c, k), Nil)
+      } yield (a, bi, bj) -> (tb, dc)
+      val colTerms = for {
+        ((c, k, bj), tc) <- local.iterator if bj % parts == p
+        (a, b) <- bySecond.getOrElse(c, Nil)
+        (bi, db) <- dByCol.getOrElse((b, k), Nil)
+      } yield (a, bi, bj) -> (db, tc)
+      (rowTerms ++ colTerms).toSeq.groupMap(_._1)(_._2).iterator.flatMap { case (key, ts) =>
+        val m = BoolCSR.multiplyMasked(ts, local.get(key))
+        if (m.nnz == 0) None else Some(key -> m)
+      }
+    }
   }
 }

@@ -1,7 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import scala.collection.mutable.ListBuffer
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col}
+import org.apache.spark.storage.StorageLevel
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
 
@@ -19,8 +22,7 @@ import repro.graph.LabeledGraph
   * multiply-and-union. Iterated to fixpoint (row count stable; the
   * relation is monotone, so count equality is set equality).
   *
-  * This is the engine whose output is checked against the DuckDB oracle:
-  * the result is a plain DataFrame `(nt, src, dst)`.
+  * This is the engine whose output is checked against the DuckDB oracle.
   *
   * Each iteration's frame is rebuilt from the persisted rows of the last
   * ([[Materialize]]), not from `Dataset.localCheckpoint()`. A local
@@ -36,36 +38,30 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
   override val name = "SparkDF"
 
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    val (df, iterations) = solveDF(graph.toDF(spark), grammar)
-    val rels = df.collect()
-      .groupBy(_.getString(0))
-      .map { case (nt, rows) => nt -> rows.map(r => (r.getInt(1), r.getInt(2))).toSet }
-    CFPQResult(rels, iterations)
-  }
-
-  /** Evaluate over an edges DataFrame (src INT, label STRING, dst INT);
-    * returns the final relation `(nt, src, dst)` and the iteration count.
-    */
-  def solveDF(edges: DataFrame, grammar: CnfGrammar): (DataFrame, Int) = {
     import spark.implicits._
     val termDf = spark.createDataset(grammar.term).toDF("nt", "lab")
     val rulesDf = broadcast(spark.createDataset(grammar.binary).toDF("a", "b", "c"))
-    val init = edges
+    val init = graph.toDF(spark)
       .join(broadcast(termDf), col("label") === col("lab"))
       .select(col("nt"), col("src"), col("dst"))
       .distinct()
-    def frame(p: Materialize.Pinned[Row]): DataFrame = spark.createDataset(p.data)(init.encoder)
-    // A row is one cell.
-    val (t, iterations) = Closure.run(Materialize(init.rdd)(_ => 1L))(_.count, _.release()) { p =>
-      val cur = frame(p)
-      val l = cur.as("l")
-      val r = cur.as("r")
-      val prod = l
-        .join(rulesDf, col("l.nt") === col("b"))
-        .join(r, col("l.dst") === col("r.src") && col("r.nt") === col("c"))
-        .select(col("a").as("nt"), col("l.src").as("src"), col("r.dst").as("dst"))
-      Materialize(cur.union(prod).distinct().rdd)(_ => 1L)
-    }
-    (frame(t), iterations)
+    val cached = ListBuffer.empty[RDD[Row]]
+    def pin(rows: RDD[Row]): Materialize.Pinned[Row] = { cached += rows; Materialize(rows) }
+    try {
+      val (t, iterations) = Closure.run(pin(init.rdd))(_.count, _.release()) { p =>
+        val cur = spark.createDataset(p.data)(init.encoder)
+        val l = cur.as("l")
+        val r = cur.as("r")
+        val prod = l
+          .join(rulesDf, col("l.nt") === col("b"))
+          .join(r, col("l.dst") === col("r.src") && col("r.nt") === col("c"))
+          .select(col("a").as("nt"), col("l.src").as("src"), col("r.dst").as("dst"))
+        pin(cur.union(prod).distinct().rdd)
+      }
+      val rels = t.data.collect()
+        .groupBy(_.getString(0))
+        .map { case (nt, rows) => nt -> rows.map(r => (r.getInt(1), r.getInt(2))).toSet }
+      CFPQResult(rels, iterations)
+    } finally cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
   }
 }

@@ -5,7 +5,7 @@ import repro.{PropertyChecks, SparkSpec}
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
 
-/** Dense, SparseCSR and SparkBlock against the literal Algorithm 1
+/** Dense, SparseCSR, SparkBlock and SparkDF against the literal Algorithm 1
   * ([[NaiveSetMatrixCFPQ]]) on generated labeled graphs × generated CNF
   * grammars: equal relations and equal iteration counts.
   */
@@ -28,6 +28,17 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
       Prop(got == NaiveSetMatrixCFPQ.solve(graph, cnf)) :| s"SparkBlock, blockSize $bs" &&
         Prop(sc.getPersistentRDDs.keySet == persisted) :| s"persisted RDDs left by a solve, blockSize $bs"
     }, seed = 2016L, successes = 60)
+  }
+
+  test("SparkDF equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted") {
+    val sc = spark.sparkContext
+    val engine = new SparkDataFrameCFPQ(spark)
+    checkProperty(Prop.forAllNoShrink(genGraph, genGrammar) { (graph, cnf) =>
+      val persisted = sc.getPersistentRDDs.keySet
+      val got = engine.solve(graph, cnf)
+      Prop(got == NaiveSetMatrixCFPQ.solve(graph, cnf)) :| "SparkDF" &&
+        Prop(sc.getPersistentRDDs.keySet == persisted) :| "persisted RDDs left by a solve"
+    }, seed = 2009L, successes = 20)
   }
 }
 

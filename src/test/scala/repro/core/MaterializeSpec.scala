@@ -8,7 +8,7 @@ class MaterializeSpec extends SparkSpec {
 
   /** Pin a frame's rows and rebuild a frame over them, as SparkDF does. */
   private def pinFrame(df: DataFrame): (Materialize.Pinned[Row], DataFrame) = {
-    val pinned = Materialize(df.rdd)(_ => 1L)
+    val pinned = Materialize(df.rdd)
     (pinned, spark.createDataset(pinned.data)(df.encoder))
   }
 
@@ -30,18 +30,18 @@ class MaterializeSpec extends SparkSpec {
   test("dataset round-trips typed data") {
     import spark.implicits._
     val ds = spark.createDataset(Seq(("a", Array(1, 2)), ("b", Array(3))))
-    val pinned = Materialize(ds.rdd)(_ => 1L)
+    val pinned = Materialize(ds.rdd)
     assert(pinned.count == 2)
     val got = spark.createDataset(pinned.data)(ds.encoder).collect().map { case (k, v) => (k, v.toSeq) }.toSet
     assert(got == Set(("a", Seq(1, 2)), ("b", Seq(3))))
     pinned.release()
   }
 
-  test("the count sums the cells of every row, and the input is computed once") {
+  test("the count is the row count, and the input is computed once") {
     val computed = spark.sparkContext.longAccumulator("rows computed")
     val rdd = spark.sparkContext.parallelize(0L until 10L).map { i => computed.add(1); i }
-    val pinned = Materialize(rdd)(identity)
-    assert(pinned.count == 45) // 0 + 1 + … + 9
+    val pinned = Materialize(rdd)
+    assert(pinned.count == 10)
     assert(pinned.data.collect().sorted.toSeq == (0L until 10L))
     assert(computed.sum == 10) // counted and then read back from the cache
     pinned.release()

@@ -70,22 +70,16 @@ class OracleCTESpec extends SparkSpec {
 
   private val reachCnf: CnfGrammar = CNF.transform(Grammar.parse("S -> a S | a"))
 
-  private def relation(graph: LabeledGraph, cnf: CnfGrammar): (DataFrame, DataFrame) = {
-    val edges = graph.toDF(spark)
-    val (rel, _) = new SparkDataFrameCFPQ(spark).solveDF(edges, cnf)
-    val rs = rel.filter(col("nt") === "S").select(col("src").as("i"), col("dst").as("j"))
-    (rs, edges)
+  /** SparkDF's `S` relation on `graph` against `sql` run by DuckDB. */
+  private def check(graph: LabeledGraph, cnf: CnfGrammar, sql: String): Unit = {
+    import spark.implicits._
+    val rs = spark.createDataset(new SparkDataFrameCFPQ(spark).solve(graph, cnf)("S").toSeq).toDF("i", "j")
+    Oracle.assertEquivalent(rs, sql, "edges" -> graph.toDF(spark))
   }
 
-  private def checkQ1(graph: LabeledGraph): Unit = {
-    val (rs, edges) = relation(graph, Queries.q1CnfPaper)
-    Oracle.assertEquivalent(rs, q1Sql, "edges" -> edges)
-  }
+  private def checkQ1(graph: LabeledGraph): Unit = check(graph, Queries.q1CnfPaper, q1Sql)
 
-  private def checkQ2(graph: LabeledGraph): Unit = {
-    val (rs, edges) = relation(graph, Queries.q2Cnf)
-    Oracle.assertEquivalent(rs, q2Sql, "edges" -> edges)
-  }
+  private def checkQ2(graph: LabeledGraph): Unit = check(graph, Queries.q2Cnf, q2Sql)
 
   test("paper example graph: Q1 relation matches DuckDB") {
     checkQ1(LabeledGraph.paperExample)
@@ -116,8 +110,7 @@ class OracleCTESpec extends SparkSpec {
       (0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 1), // cycle 1→2→3→1
       (0, "b", 3),                                        // non-matching label
     ))
-    val (rs, edges) = relation(graph, reachCnf)
-    Oracle.assertEquivalent(rs, reachSql, "edges" -> edges)
+    check(graph, reachCnf, reachSql)
   }
 
   test("sparse local engine agrees with DuckDB too (skos, Q1, via DataFrame round-trip)") {

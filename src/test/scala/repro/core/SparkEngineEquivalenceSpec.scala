@@ -3,6 +3,7 @@ package repro.core
 import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import scala.util.Random
+import org.apache.spark.SparkException
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.cfg.Queries
@@ -82,10 +83,10 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
   test("SparkBlock runs exactly one Spark job per closure step and writes no shuffle") {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
+    val tasks = new AtomicInteger
     val shuffleBytes = new AtomicLong
     val stages = ConcurrentHashMap.newKeySet[Int]()
     val sentinelSeen = new CountDownLatch(1)
-    def group(e: SparkListenerJobStart) = Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = group(e) match {
         case Some("SparkBlock solve") => jobs.incrementAndGet(); e.stageIds.foreach(stages.add(_))
@@ -93,13 +94,16 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
         case _ =>
       }
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (stages.contains(e.stageId) && e.taskMetrics != null)
-          shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+        if (stages.contains(e.stageId)) {
+          tasks.incrementAndGet()
+          if (e.taskMetrics != null) shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+        }
     }
     sc.addSparkListener(listener)
     try {
+      val graph = Datasets.skos.graph
       sc.setJobGroup("SparkBlock solve", "SparkBlock solve")
-      val got = try new SparkBlockCFPQ(spark, blockSize = 32).solve(Datasets.skos.graph, Queries.q1CnfPaper)
+      val got = try new SparkBlockCFPQ(spark, blockSize = 32).solve(graph, Queries.q1CnfPaper)
                 finally sc.clearJobGroup()
       // Listener events arrive in order: once the sentinel job's start is
       // seen, so are the starts and task ends of every job of the solve.
@@ -109,8 +113,34 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
       assert(got.iterations > 2)
       assert(jobs.get == got.iterations)
       assert(!stages.isEmpty)
+      // One task per partition and step: P = min(parallelism, block rows).
+      val parts = math.min(sc.defaultParallelism, (graph.numNodes + 31) / 32)
+      assert(tasks.get == got.iterations * parts, s"P=$parts")
       assert(shuffleBytes.get == 0)
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("a cancelled solve leaves no RDD persisted, on both Spark engines") {
+    val sc = spark.sparkContext
+    for ((engine, i) <- Seq(new SparkBlockCFPQ(spark, blockSize = 4), df).zipWithIndex) {
+      // Cancel the solve at the first job that starts while it holds two
+      // persisted states (the last one and the one being built), and every
+      // later job of its group.
+      val groupId = s"cancelled solve $i"
+      val persisted = sc.getPersistentRDDs.keySet
+      val cancelled = new AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit =
+          if (group(e).contains(groupId) && (sc.getPersistentRDDs.keySet -- persisted).size >= 2 &&
+              cancelled.getAndIncrement() == 0) sc.cancelJobGroupAndFutureJobs(groupId)
+      }
+      sc.addSparkListener(listener)
+      sc.setJobGroup(groupId, groupId)
+      try intercept[SparkException](engine.solve(Datasets.skos.graph, Queries.q1CnfPaper))
+      finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
+      assert(cancelled.get > 0, engine.name)
+      assert(sc.getPersistentRDDs.keySet == persisted, engine.name)
+    }
   }
 
   test("SparkBlock rejects a block size below 1, naming it") {
@@ -119,6 +149,9 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
       assert(e.getMessage.contains(s"blockSize must be positive, got $bs"))
     }
   }
+
+  private def group(e: SparkListenerJobStart): Option[String] =
+    Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
 
   private lazy val LabeledGraph_small =
     repro.graph.LabeledGraph(Seq(

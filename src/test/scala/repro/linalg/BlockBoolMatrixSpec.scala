@@ -3,32 +3,31 @@ package repro.linalg
 import org.apache.spark.rdd.RDD
 import repro.SparkSpec
 import repro.cfg.CnfGrammar
-import repro.linalg.BlockBoolMatrix._
+import repro.core.SparkBlockCFPQ._
 import scala.util.Random
 
+/** SparkBlock's block Boolean matrix: tiles, their one placement and the
+  * semi-naive step over it ([[repro.core.SparkBlockCFPQ]]'s companion).
+  */
 class BlockBoolMatrixSpec extends SparkSpec {
 
   private lazy val sc = spark.sparkContext
 
   private val selfRule = Seq(("A", "A", "A")) // A -> A A: plain Boolean square
 
-  /** `tiles` placed by `block` over `parts` partitions, as a solve places `Δ₀ = T₀`. */
-  private def place(tiles: Tiles, block: Key => Int, parts: Int = 3): RDD[(Key, BoolCSR)] =
-    absorb(sc.parallelize(Seq.empty[(Key, BoolCSR)], parts), sc.broadcast(tiles), block)
+  /** `tiles` placed over `parts` partitions, as a solve places `Δ₀ = T₀`. */
+  private def place(tiles: Tiles, parts: Int = 3): RDD[(Key, BoolCSR)] =
+    absorb(sc.parallelize(Seq.empty[(Key, BoolCSR)], parts), sc.broadcast(tiles))
 
   /** Global cells of an RDD of tiles; tiles sharing a key are unioned. */
   private def gather(t: RDD[(Key, BoolCSR)]): Map[String, Set[(Int, Int)]] =
     cells(Seq(t.collect().groupMapReduce(_._1)(_._2)(_ union _)))
 
-  /** Row and column sides of one step over `t` (which holds `delta`), with
-    * `t` placed both ways.
-    */
-  private def sides(bs: Int, t: Map[String, Seq[(Int, Int)]], delta: Map[String, Seq[(Int, Int)]],
-                    rules: Seq[(String, String, String)]) = {
+  /** The cells of one step over `t` (which holds `delta`) placed over `parts` partitions. */
+  private def stepCells(bs: Int, t: Map[String, Seq[(Int, Int)]], delta: Map[String, Seq[(Int, Int)]],
+                        rules: Seq[(String, String, String)], parts: Int): Map[String, Set[(Int, Int)]] = {
     val g = CnfGrammar(rules, Seq(("A", "a"))) // a CnfGrammar needs a terminal rule
-    val d = sc.broadcast(tile(bs, delta))
-    (gather(rowSide(place(tile(bs, t), rowOf), d, g.byFirst)),
-      gather(colSide(place(tile(bs, t), colOf), d, g.bySecond)))
+    gather(step(place(tile(bs, t), parts), sc.broadcast(tile(bs, delta)), g))
   }
 
   test("tile/cells round-trip across blocks") {
@@ -36,103 +35,114 @@ class BlockBoolMatrixSpec extends SparkSpec {
     val tiles = tile(4, input)
     assert(tiles.keySet == Set(("A", 0, 0), ("A", 0, 1), ("A", 1, 0), ("A", 1, 1), ("B", 0, 1)))
     assert(cells(Seq(tiles)) == input.map { case (nt, ps) => nt -> ps.toSet })
-    assert(gather(place(tiles, rowOf)) == cells(Seq(tiles)))
-    assert(gather(place(tiles, colOf)) == cells(Seq(tiles)))
+    for (parts <- 1 to 3) assert(gather(place(tiles, parts)) == cells(Seq(tiles)), s"P=$parts")
   }
 
   test("nnz counts cells across blocks and nonterminals") {
     val tiles = tile(4, Map("A" -> Seq((0, 0), (7, 7), (0, 0)), "B" -> Seq((1, 1))))
     assert(nnz(tiles) == 3) // duplicate deduped
-    assert(place(tiles, rowOf).map(_._2.nnz.toLong).sum() == 3)
+    // Every tile is on the diagonal (bi = bj), so each is placed once.
+    assert(place(tiles, parts = 2).map(_._2.nnz.toLong).sum() == 3)
   }
 
   test("nnz of an empty dataset is zero") {
     val tiles = tile(4, Map.empty[String, Seq[(Int, Int)]])
     assert(tiles.isEmpty && nnz(tiles) == 0)
-    assert(place(tiles, rowOf).count() == 0)
+    assert(place(tiles).count() == 0)
   }
 
   test("placement puts each tile on its block row or block column modulo the partition count") {
     val tiles = tile(2, Map("A" -> (0 until 12).flatMap(i => Seq((i, (i * 5) % 12), (i, 11 - i)))))
-    for ((block, name) <- Seq[(Key => Int, String)]((rowOf, "row"), (colOf, "col"))) {
-      val placed = place(tiles, block, parts = 4)
-      assert(placed.getNumPartitions == 4, name)
+    for (parts <- 1 to 3) {
+      val placed = place(tiles, parts)
+      assert(placed.getNumPartitions == parts)
       val where = placed.mapPartitionsWithIndex((p, it) => it.map { case (key, _) => (key, p) }).collect()
-      assert(where.map(_._1).toSet == tiles.keySet, name)
-      where.foreach { case (key, p) => assert(p == block(key) % 4, s"$name: $key on partition $p") }
+      assert(where.length == where.distinct.length, s"P=$parts: a key twice on one partition")
+      val byKey = where.groupMap(_._1)(_._2)
+      assert(byKey.keySet == tiles.keySet, s"P=$parts")
+      byKey.foreach { case (key @ (_, bi, bj), ps) =>
+        assert(ps.toSet == Set(bi % parts, bj % parts), s"P=$parts: $key on partitions ${ps.mkString(",")}")
+      }
     }
   }
 
   test("multiply: two-hop reachability within one block") {
     val t = Map("A" -> Seq((0, 1), (1, 2)))
-    val (row, col) = sides(4, t, t, selfRule)
-    assert(row == Map("A" -> Set((0, 2))))
-    assert(col == Map("A" -> Set((0, 2))))
+    for (parts <- 1 to 3) assert(stepCells(4, t, t, selfRule, parts) == Map("A" -> Set((0, 2))), s"P=$parts")
   }
 
   test("multiply: two-hop reachability across block boundary") {
     // (0,5) in block (0,1), (5,9) in block (1,2) with blockSize 4
     val t = Map("A" -> Seq((0, 5), (5, 9)))
-    val (row, col) = sides(4, t, t, selfRule)
-    assert(row == Map("A" -> Set((0, 9))))
-    assert(col == Map("A" -> Set((0, 9))))
+    for (parts <- 1 to 3) assert(stepCells(4, t, t, selfRule, parts) == Map("A" -> Set((0, 9))), s"P=$parts")
   }
 
   test("multiply with multiple rules routes products to the right lhs") {
     // S -> A B and X -> B A over distinct matrices.
     val t = Map("A" -> Seq((0, 1)), "B" -> Seq((1, 2)))
-    val (row, col) = sides(4, t, t, Seq(("S", "A", "B"), ("X", "B", "A")))
-    assert(row == Map("S" -> Set((0, 2)))) // B then A never connects here
-    assert(col == row)
+    for (parts <- 1 to 3) { // B then A never connects here
+      assert(stepCells(4, t, t, Seq(("S", "A", "B"), ("X", "B", "A")), parts) == Map("S" -> Set((0, 2))), s"P=$parts")
+    }
   }
 
   test("the sides take Δ on their own side only and subtract T") {
+    // S -> A B over T_A = {(0,1)}, T_B = {(1,2)} in separate blocks: T_A·Δ_B
+    // and Δ_A·T_B each find (0,2); with Δ empty, or (0,2) already in T_S,
+    // the step adds nothing.
+    val t = Map("A" -> Seq((0, 1)), "B" -> Seq((1, 2)), "S" -> Seq.empty[(Int, Int)])
+    val rules = Seq(("S", "A", "B"))
+    for (parts <- 1 to 3; (delta, name) <- Seq((Map("B" -> t("B")), "Δ_B"), (Map("A" -> t("A")), "Δ_A"))) {
+      assert(stepCells(1, t, delta, rules, parts) == Map("S" -> Set((0, 2))), s"P=$parts, $name")
+      assert(stepCells(1, t + ("S" -> Seq((0, 2))), delta, rules, parts).isEmpty, s"P=$parts, $name, (0,2) in T")
+    }
+    for (parts <- 1 to 3) assert(stepCells(1, t, Map.empty, rules, parts).isEmpty, s"P=$parts, Δ empty")
     // T_A = {(0,1), (1,2), (0,2), (2,3)}, Δ_A = {(2,3)}: T·Δ adds (1,3) and
     // (0,3); Δ·T adds nothing (row 3 of T is empty); (0,2) ∈ T·T is old.
-    val t = Map("A" -> Seq((0, 1), (1, 2), (0, 2), (2, 3)))
-    val (row, col) = sides(2, t, Map("A" -> Seq((2, 3))), selfRule)
-    assert(row == Map("A" -> Set((1, 3), (0, 3))))
-    assert(col.isEmpty)
+    val square = Map("A" -> Seq((0, 1), (1, 2), (0, 2), (2, 3)))
+    for (parts <- 1 to 3) {
+      assert(stepCells(2, square, Map("A" -> Seq((2, 3))), selfRule, parts) == Map("A" -> Set((1, 3), (0, 3))))
+    }
   }
 
   test("union merges per-nonterminal matrices") {
-    val a = place(tile(4, Map("A" -> Seq((0, 0)))), rowOf, parts = 2)
+    val a = place(tile(4, Map("A" -> Seq((0, 0)))), parts = 2)
     val delta = tile(4, Map("A" -> Seq((0, 1), (7, 1)), "B" -> Seq((3, 3))))
-    val merged = absorb(a, sc.broadcast(delta), rowOf)
+    val merged = absorb(a, sc.broadcast(delta))
     // T absorbs Δ where it lies: the partition count never changes.
     assert(merged.getNumPartitions == 2)
-    assert(merged.collect().map(_._1).toSet == Set(("A", 0, 0), ("A", 1, 0), ("B", 0, 0))) // one tile per key
+    // One tile per key and partition: A(0,0) and B(0,0) on partition 0,
+    // A(1,0) on partitions 1 and 0.
+    assert(merged.glom().map(_.map(_._1).toSeq).collect().map(_.sorted).toSeq ==
+      Seq(Seq(("A", 0, 0), ("A", 1, 0), ("B", 0, 0)), Seq(("A", 1, 0))))
     assert(gather(merged) == Map("A" -> Set((0, 0), (0, 1), (7, 1)), "B" -> Set((3, 3))))
   }
 
   test("a side emits no tile when no cells connect") {
     // (0,1) and (2,3) share no middle node, so the one block pair's product
     // is empty; an emitted empty tile would show as an empty relation.
-    val t = Map("A" -> Seq((0, 1), (2, 3)))
-    assert(sides(4, t, t, selfRule) == (Map.empty, Map.empty))
+    val t = tile(4, Map("A" -> Seq((0, 1), (2, 3))))
+    val g = CnfGrammar(selfRule, Seq(("A", "a")))
+    for (parts <- 1 to 3) assert(step(place(t, parts), sc.broadcast(t), g).count() == 0, s"P=$parts")
   }
 
   for (i <- 0 until 8) {
     test(s"property #$i: distributed square matches BoolCSR square") {
-      // S -> A B, A -> A A on random T ⊇ Δ: each side equals the local
-      // masked product, and with Δ = T their union adds T·T ∖ T.
+      // S -> A B, A -> A A on random T ⊇ Δ: the step equals the local masked
+      // semi-naive step, and with Δ = T it adds T·T ∖ T.
       val rnd = new Random(800 + i)
       val n = 4 + rnd.nextInt(14)
       val bs = Seq(1, 3, 4)(i % 3)
+      val parts = 1 + rnd.nextInt(3)
       val t = Seq("A", "B", "S").map(nt => nt -> BoolRef.randomPairs(rnd, n, n, 0.15).toSeq).toMap
       val delta = t.map { case (nt, ps) => nt -> ps.filter(_ => rnd.nextDouble() < 0.4) }
       val rules = Seq(("S", "A", "B"), ("A", "A", "A"))
       def csr(m: Map[String, Seq[(Int, Int)]], nt: String) = BoolCSR.fromPairs(n, n, m(nt))
-      def local(terms: ((String, String)) => (BoolCSR, BoolCSR)) = rules.groupBy(_._1).map { case (a, rs) =>
-        a -> BoolCSR.multiplyMasked(rs.map { case (_, b, c) => terms((b, c)) }, Some(csr(t, a))).toPairs.toSet
+      def local(d: Map[String, Seq[(Int, Int)]]) = rules.groupBy(_._1).map { case (a, rs) =>
+        val terms = rs.flatMap { case (_, b, c) => Seq(csr(t, b) -> csr(d, c), csr(d, b) -> csr(t, c)) }
+        a -> BoolCSR.multiplyMasked(terms, Some(csr(t, a))).toPairs.toSet
       }.filter(_._2.nonEmpty)
-      val (row, col) = sides(bs, t, delta, rules)
-      assert(row == local { case (b, c) => csr(t, b) -> csr(delta, c) }, s"n=$n bs=$bs")
-      assert(col == local { case (b, c) => csr(delta, b) -> csr(t, c) }, s"n=$n bs=$bs")
-
-      val (rowAll, colAll) = sides(bs, t, t, rules)
-      val square = local { case (b, c) => csr(t, b) -> csr(t, c) }
-      assert(rowAll == square && colAll == square, s"n=$n bs=$bs")
+      assert(stepCells(bs, t, delta, rules, parts) == local(delta), s"n=$n bs=$bs P=$parts")
+      assert(stepCells(bs, t, t, rules, parts) == local(t), s"n=$n bs=$bs P=$parts, Δ = T")
     }
   }
 }
