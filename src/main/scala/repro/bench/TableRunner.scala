@@ -45,16 +45,16 @@ object TableRunner {
     (r, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Engines in table order: (column name, build engine, run on dataset?). */
-  def engines(spark: SparkSession, q: Query): Seq[(String, () => CFPQEngine, DatasetSpec => Boolean)] = Seq(
-    ("GLL", () => new GllCFPQ(q.grammar, q.start), _ => true),
-    // Dense omitted on the repeated graphs, exactly as the paper omits dGPU.
-    ("Dense", () => DenseCFPQ, d => d.repeatK == 1),
-    ("SparseCSR", () => SparseCFPQ, _ => true),
-    ("SparkBlock", () => new SparkBlockCFPQ(spark), _ => true),
-    ("SparkDF", () => new SparkDataFrameCFPQ(spark), _ => true),
-    ("Hellings", () => HellingsCFPQ, _ => true),
+  /** Engines in table order. */
+  def engines(spark: SparkSession, q: Query): Seq[CFPQEngine] = Seq(
+    new GllCFPQ(q.grammar, q.start), DenseCFPQ, SparseCFPQ,
+    new SparkBlockCFPQ(spark), new SparkDataFrameCFPQ(spark), HellingsCFPQ,
   )
+
+  /** Whether `engine` runs on `d`: Dense is omitted on the repeated graphs,
+    * exactly as the paper omits dGPU.
+    */
+  def applies(engine: CFPQEngine, d: DatasetSpec): Boolean = engine != DenseCFPQ || d.repeatK == 1
 
   /** Run one query over one dataset with every applicable engine.
     *
@@ -64,13 +64,13 @@ object TableRunner {
     */
   def runDataset(spark: SparkSession, q: Query, d: DatasetSpec): BenchRow = {
     val graph = d.graph
-    val timings = engines(spark, q).map { case (name, mk, applies) =>
-      if (!applies(d)) Timing(name, None, None)
+    val timings = engines(spark, q).map { e =>
+      if (!applies(e, d)) Timing(e.name, None, None)
       else {
-        val runs = if (name.startsWith("Spark")) 1 else 2
-        val measured = Seq.fill(runs)(time(mk().solve(graph, q.cnf)))
+        val runs = if (e.name.startsWith("Spark")) 1 else 2
+        val measured = Seq.fill(runs)(time(e.solve(graph, q.cnf)))
         val (res, _) = measured.head
-        Timing(name, Some(measured.map(_._2).min), Some(res.count(q.start).toLong))
+        Timing(e.name, Some(measured.map(_._2).min), Some(res.count(q.start).toLong))
       }
     }
     val counts = timings.flatMap(_.results).distinct
@@ -83,7 +83,7 @@ object TableRunner {
   /** Warm up JIT and Spark codepaths on the smallest dataset. */
   def warmup(spark: SparkSession, q: Query): Unit = {
     val d = Datasets.skos
-    engines(spark, q).foreach { case (_, mk, _) => mk().solve(d.graph, q.cnf) }
+    engines(spark, q).foreach(_.solve(d.graph, q.cnf))
   }
 
   /** Run the full table (all 14 datasets). */

@@ -36,9 +36,6 @@ final case class Grammar(productions: Seq[Production]) {
   lazy val terminals: Set[String] =
     productions.flatMap(_.rhs).collect { case T(t) => t }.toSet
 
-  /** Productions grouped by their left-hand side. */
-  lazy val byLhs: Map[String, Seq[Production]] = productions.groupBy(_.lhs)
-
   override def toString: String = productions.mkString("\n")
 }
 
@@ -96,12 +93,6 @@ final case class CnfGrammar(binary: Seq[(String, String, String)],
   /** Rules grouped by the second body nonterminal C → Seq((A, B)). */
   lazy val bySecond: Map[String, Seq[(String, String)]] =
     binary.groupBy(_._3).map { case (c, rs) => c -> rs.map(r => (r._1, r._2)) }
-
-  /** View as a plain [[Grammar]] (for the recognizer oracles). */
-  def toGrammar: Grammar = Grammar(
-    binary.map { case (a, b, c) => Production(a, Seq(N(b), N(c))) } ++
-      term.map { case (a, x) => Production(a, Seq(T(x))) }
-  )
 
   override def toString: String =
     (binary.map { case (a, b, c) => s"$a -> $b $c" } ++

@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** An edge-labeled directed graph `D = (V, E)` with `V = {0 … numNodes-1}`
   * and `E ⊆ V × Σ × V` (paper §2).
   *
@@ -13,9 +11,6 @@ final case class LabeledGraph(numNodes: Int, edges: Vector[(Int, String, Int)]) 
   for ((s, l, d) <- edges)
     require(0 <= s && s < numNodes && 0 <= d && d < numNodes,
       s"edge ($s, $l, $d) has a node id outside 0 until $numNodes")
-
-  /** All labels present on edges. */
-  lazy val labels: Set[String] = edges.iterator.map(_._2).toSet
 
   /** Out-edge index: node → label → destination nodes (deduplicated).
     * Built lazily; used by the GLL baseline and the brute-force oracle.
@@ -33,10 +28,10 @@ final case class LabeledGraph(numNodes: Int, edges: Vector[(Int, String, Int)]) 
     edges.groupBy(_._2).map { case (l, es) => l -> es.map(e => (e._1, e._3)).distinct }
 
   /** The paper's RDF conversion: for every triple/edge `(s, p, o)` also add
-    * the inverse edge `(o, p⁻¹, s)`. The inverse label is `p + suffix`.
+    * the inverse edge `(o, p⁻¹, s)`, labeled `p + "_r"`.
     */
-  def withInverses(suffix: String = "_r"): LabeledGraph =
-    copy(edges = edges ++ edges.map { case (s, p, o) => (o, p + suffix, s) })
+  def withInverses(): LabeledGraph =
+    copy(edges = edges ++ edges.map { case (s, p, o) => (o, p + "_r", s) })
 
   /** `k` disjoint copies of this graph — the paper's "simple repeating"
     * used to build the synthetic graphs g1, g2, g3.
@@ -48,16 +43,6 @@ final case class LabeledGraph(numNodes: Int, edges: Vector[(Int, String, Int)]) 
       edges.map { case (s, p, o) => (s + off, p, o + off) }
     }
     LabeledGraph(numNodes * k, copies.toVector)
-  }
-
-  /** Edges as a DataFrame (src: INT, label: STRING, dst: INT). */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    // Parallelism bounded so tiny graphs don't scatter across 16 tasks.
-    val slices = math.max(1, math.min(spark.sparkContext.defaultParallelism, edges.size / 4096 + 1))
-    spark.createDataset(
-      spark.sparkContext.parallelize(edges, slices)
-    ).toDF("src", "label", "dst")
   }
 }
 

@@ -17,19 +17,19 @@ class TableRunnerSpec extends SparkSpec {
   }
 
   test("engine table order matches the rendered column order") {
-    val names = TableRunner.engines(spark, TableRunner.q1).map(_._1)
+    val names = TableRunner.engines(spark, TableRunner.q1).map(_.name)
     assert(names == Seq("GLL", "Dense", "SparseCSR", "SparkBlock", "SparkDF", "Hellings"))
   }
 
   test("Dense is skipped exactly on the repeated graphs (paper's dGPU omission)") {
-    val applies = TableRunner.engines(spark, TableRunner.q1)
-      .find(_._1 == "Dense").get._3
+    val (dense, others) = TableRunner.engines(spark, TableRunner.q1).partition(_.name == "Dense")
+    assert(dense.size == 1)
     Datasets.all.foreach { d =>
-      assert(applies(d) == (d.repeatK == 1), d.name)
+      assert(TableRunner.applies(dense.head, d) == (d.repeatK == 1), d.name)
     }
     // every other engine runs everywhere
-    TableRunner.engines(spark, TableRunner.q1).filterNot(_._1 == "Dense").foreach {
-      case (n, _, f) => Datasets.all.foreach(d => assert(f(d), s"$n on ${d.name}"))
+    others.foreach { e =>
+      Datasets.all.foreach(d => assert(TableRunner.applies(e, d), s"${e.name} on ${d.name}"))
     }
   }
 
@@ -51,8 +51,9 @@ class TableRunnerSpec extends SparkSpec {
 
   test("render shows an em-dash for configurations the paper omitted") {
     // fabricate a g1 row with Dense skipped
-    val timings = TableRunner.engines(spark, TableRunner.q1).map { case (n, _, applies) =>
-      if (applies(Datasets.g1)) Timing(n, Some(1.0), Some(42L)) else Timing(n, None, None)
+    val timings = TableRunner.engines(spark, TableRunner.q1).map { e =>
+      if (TableRunner.applies(e, Datasets.g1)) Timing(e.name, Some(1.0), Some(42L))
+      else Timing(e.name, None, None)
     }
     val out = TableRunner.render(TableRunner.q1, Seq(BenchRow(Datasets.g1, 42L, timings)))
     val cells = out.linesIterator.find(_.startsWith("| g1")).get.split("\\|").map(_.trim)

@@ -56,7 +56,7 @@ class CYKSpec extends AnyFunSuite {
   }
 
   test("CYK agrees with Earley on the CNF grammar viewed as plain grammar") {
-    val plain = anbn.toGrammar
+    val plain = Earley.toGrammar(anbn)
     val words = for {
       len <- 1 to 5
       w <- Seq.fill(len)(Seq("a", "b")).foldLeft(Seq(Seq.empty[String]))((acc, cs) =>

@@ -16,6 +16,12 @@ object Earley {
 
   private final case class Item(prod: Int, dot: Int, origin: Int)
 
+  /** A CNF grammar viewed as a plain [[Grammar]], to run Earley on it. */
+  def toGrammar(g: CnfGrammar): Grammar = Grammar(
+    g.binary.map { case (a, b, c) => Production(a, Seq(N(b), N(c))) } ++
+      g.term.map { case (a, x) => Production(a, Seq(T(x))) }
+  )
+
   /** Is `word` (a sequence of terminal labels) derivable from `start`? */
   def accepts(g: Grammar, start: String, word: Seq[String]): Boolean = {
     val prods = g.productions.toIndexedSeq

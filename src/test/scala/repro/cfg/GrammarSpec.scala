@@ -15,7 +15,7 @@ class GrammarSpec extends AnyFunSuite {
     val g = Grammar.parse("S -> A B", "A -> a", "B -> b")
     assert(g.nonterminals == Set("S", "A", "B"))
     assert(g.terminals == Set("a", "b"))
-    assert(g.byLhs("S").head.rhs == Seq(N("A"), N("B")))
+    assert(g.productions.find(_.lhs == "S").get.rhs == Seq(N("A"), N("B")))
   }
 
   test("parse: eps keyword produces an empty rhs") {
@@ -55,7 +55,7 @@ class GrammarSpec extends AnyFunSuite {
 
   test("CnfGrammar.toGrammar round-trips productions") {
     val g = CnfGrammar(binary = Seq(("S", "A", "B")), term = Seq(("A", "a"), ("B", "b")))
-    val plain = g.toGrammar
+    val plain = Earley.toGrammar(g)
     assert(plain.productions.toSet == Set(
       Production("S", Seq(N("A"), N("B"))),
       Production("A", Seq(T("a"))),

@@ -22,7 +22,7 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
 
   test("SparkBlock equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted (block sizes 1, 2, 3, 16)") {
     val sc = spark.sparkContext
-    checkProperty(Prop.forAllNoShrink(genGraph, genGrammar, Gen.oneOf(1, 2, 3, 16)) { (graph, cnf, bs) =>
+    checkProperty(Prop.forAllNoShrink(genGraphUpTo(16), genGrammar, Gen.oneOf(1, 2, 3, 16)) { (graph, cnf, bs) =>
       val persisted = sc.getPersistentRDDs.keySet
       val got = new SparkBlockCFPQ(spark, bs).solve(graph, cnf)
       Prop(got == NaiveSetMatrixCFPQ.solve(graph, cnf)) :| s"SparkBlock, blockSize $bs" &&
@@ -47,8 +47,13 @@ object GeneratedEquivalenceSpec {
   private val nonterminals = Seq("A", "B", "C", "D")
   private val terminals = Seq("a", "b", "c")
 
-  /** Up to 9 nodes, self-loops included; label `z` matches no terminal rule. */
-  val genGraph: Gen[LabeledGraph] = Gen.choose(0, 9).flatMap {
+  /** Up to 9 nodes; see [[genGraphUpTo]]. */
+  val genGraph: Gen[LabeledGraph] = genGraphUpTo(9)
+
+  /** Up to `maxNodes` nodes and three edges a node, self-loops included;
+    * label `z` matches no terminal rule.
+    */
+  def genGraphUpTo(maxNodes: Int): Gen[LabeledGraph] = Gen.choose(0, maxNodes).flatMap {
     case 0 => Gen.const(LabeledGraph(0, Vector.empty))
     case n =>
       val edge = for {

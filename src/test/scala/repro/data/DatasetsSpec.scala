@@ -61,7 +61,7 @@ class DatasetsSpec extends AnyFunSuite {
   }
 
   test("query alphabets are covered by the generated labels") {
-    val labels = Datasets.skos.graph.labels
+    val labels = Datasets.skos.graph.edges.map(_._2).toSet
     assert(Queries.q1.terminals.subsetOf(labels))
     assert(Queries.q2.terminals.subsetOf(labels))
   }

@@ -1,8 +1,8 @@
 package repro.graph
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class LabeledGraphSpec extends SparkSpec {
+class LabeledGraphSpec extends AnyFunSuite {
 
   private val g = LabeledGraph(Seq((0, "a", 1), (1, "b", 2), (0, "a", 2)))
 
@@ -19,7 +19,7 @@ class LabeledGraphSpec extends SparkSpec {
   }
 
   test("labels and byLabel views") {
-    assert(g.labels == Set("a", "b"))
+    assert(g.edges.map(_._2).toSet == Set("a", "b"))
     assert(g.byLabel("a").toSet == Set((0, 1), (0, 2)))
     assert(g.byLabel("b").toSet == Set((1, 2)))
   }
@@ -60,11 +60,6 @@ class LabeledGraphSpec extends SparkSpec {
   test("outIndex deduplicates parallel edges") {
     val h = LabeledGraph(Seq((0, "a", 1), (0, "a", 1)))
     assert(h.outIndex(0)("a").toSeq == Seq(1))
-  }
-
-  test("toDF round-trips the edge set") {
-    val rows = g.toDF(spark).collect().map(r => (r.getInt(0), r.getString(1), r.getInt(2))).toSet
-    assert(rows == g.edges.toSet)
   }
 
   test("paperExample graph matches the initial matrix of Fig. 6") {
