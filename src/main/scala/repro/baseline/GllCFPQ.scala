@@ -2,7 +2,7 @@ package repro.baseline
 
 import scala.collection.mutable
 import repro.cfg.{CnfGrammar, Grammar, N, T}
-import repro.core.{CFPQEngine, CFPQResult}
+import repro.core.{CFPQEngine, CFPQResult, Relation}
 import repro.graph.LabeledGraph
 
 /** GLL-based context-free path querying — the paper's **GLL** comparator
@@ -41,7 +41,7 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
 
     val gssEdges = mutable.Map.empty[Long, mutable.Set[(Int, Int, Long)]] // (retProd, retDot, caller)
     val popped   = mutable.Map.empty[Long, mutable.Set[Int]]
-    val results  = mutable.Map.empty[String, mutable.Set[(Int, Int)]]
+    val results  = mutable.Map.empty[String, mutable.ArrayBuilder.ofLong] // packed (m, v), each once
     val seen     = mutable.HashSet.empty[(Int, Int, Long, Int)] // (prod, dot, gss, node)
     val work     = mutable.ArrayDeque.empty[(Int, Int, Long, Int)]
 
@@ -54,7 +54,7 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
       val set = popped.getOrElseUpdate(u, mutable.Set.empty)
       if (set.add(v)) {
         val a = ntOf(u); val m = (u % n).toInt
-        results.getOrElseUpdate(a, mutable.Set.empty).add((m, v))
+        results.getOrElseUpdate(a, new mutable.ArrayBuilder.ofLong) += Relation.pack(m, v)
         gssEdges.get(u).foreach(_.foreach { case (rp, rd, w) => addDesc(rp, rd, w, v) })
       }
     }
@@ -85,7 +85,7 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
       }
     }
 
-    CFPQResult(results.view.mapValues(_.toSet).toMap, iterations = 1)
+    CFPQResult(results.view.mapValues(b => Relation(b.result())).toMap, iterations = 1)
   }
 
   private val ntNames: Array[String] = {

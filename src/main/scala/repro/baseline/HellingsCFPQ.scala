@@ -2,7 +2,7 @@ package repro.baseline
 
 import scala.collection.mutable
 import repro.cfg.CnfGrammar
-import repro.core.{CFPQEngine, CFPQResult, MatrixInit}
+import repro.core.{CFPQEngine, CFPQResult, MatrixInit, Relation}
 import repro.graph.LabeledGraph
 
 /** The classical single-item worklist CFPQ algorithm (Hellings [6]; the
@@ -54,7 +54,7 @@ object HellingsCFPQ extends CFPQEngine {
     }
 
     val rels = fwd.map { case (a, m) =>
-      a -> m.iterator.flatMap { case (i, js) => js.iterator.map(j => (i, j)) }.toSet
+      a -> Relation(m.iterator.flatMap { case (i, js) => js.iterator.map(Relation.pack(i, _)) }.toArray)
     }.toMap
     CFPQResult(rels, iterations = 1) // worklist algorithms have no closure iterations
   }

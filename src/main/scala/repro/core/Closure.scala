@@ -58,7 +58,8 @@ abstract class LocalMatrixCFPQ[M] extends CFPQEngine {
   /** `a ∪ b`; it may update `a` in place and return it. */
   protected def union(a: M, b: M): M
   protected def cells(m: M): Long
-  protected def toPairs(m: M): Seq[(Int, Int)]
+  /** The cells of `m` as sorted, distinct [[Relation]] cells. */
+  protected def toPacked(m: M): Array[Long]
 
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val n = math.max(graph.numNodes, 1)
@@ -81,6 +82,6 @@ abstract class LocalMatrixCFPQ[M] extends CFPQEngine {
         fresh.map { case (a, d, _) => a -> d }.toMap,
         size + fresh.map(_._3).sum)
     }
-    CFPQResult(t.map { case (nt, m) => nt -> toPairs(m).toSet }, iterations)
+    CFPQResult(t.map { case (nt, m) => Relation.requireFits(nt, cells(m)); nt -> Relation.sorted(toPacked(m)) }, iterations)
   }
 }

@@ -35,5 +35,5 @@ object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix] {
     BitMatrix.multiplyMasked(terms, Some(mask))
   protected def union(a: BitMatrix, b: BitMatrix): BitMatrix = { a.orInPlace(b); a }
   protected def cells(m: BitMatrix): Long = m.cardinality
-  protected def toPairs(m: BitMatrix): Seq[(Int, Int)] = m.toPairs
+  protected def toPacked(m: BitMatrix): Array[Long] = m.toPacked
 }

@@ -46,7 +46,8 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
       Closure.run((empty, t0, nnz(t0)))(_._3, _._1.unpersist(blocking = false)) { case (t, delta, size) =>
         val d = sc.broadcast(delta)
         broadcasts += d
-        val t2 = absorb(t, d).persist(StorageLevel.MEMORY_AND_DISK)
+        // The step's job stores T ∪ Δ and cuts its lineage, which then stays one step deep.
+        val t2 = absorb(t, d).persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
         cached += t2
         val fresh = step(t2, d, grammar).collect().groupMapReduce(_._1)(_._2)(_ union _)
         deltas += fresh
@@ -85,11 +86,12 @@ object SparkBlockCFPQ {
         }
     }
 
-  /** Per-nonterminal global (row, col) cells of several tile sets. */
-  private[repro] def cells(tiles: Iterable[Tiles]): Map[String, Set[(Int, Int)]] =
-    tiles.iterator.flatten.toSeq.groupMap(_._1._1) { case ((_, bi, bj), m) =>
-      m.toPairs.map { case (i, j) => (bi * m.numRows + i, bj * m.numCols + j) }
-    }.map { case (nt, ps) => nt -> ps.flatten.toSet }
+  /** Per-nonterminal relation of several tile sets: a tile's packed cells plus its packed origin. */
+  private[repro] def cells(tiles: Iterable[Tiles]): Map[String, Relation] =
+    tiles.iterator.flatten.toArray.groupBy(_._1._1).map { case (nt, ts) =>
+      Relation.requireFits(nt, ts.iterator.map(_._2.nnz.toLong).sum)
+      nt -> Relation(ts.flatMap { case ((_, bi, bj), m) => m.toPacked.map(_ + Relation.pack(bi * m.numRows, bj * m.numCols)) })
+    }
 
   /** Total set cells. */
   private[repro] def nnz(tiles: Tiles): Long = tiles.valuesIterator.map(_.nnz.toLong).sum

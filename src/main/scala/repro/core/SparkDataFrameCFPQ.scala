@@ -48,11 +48,12 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
     val rules = broadcast(grammar.binary.toDF("a", "b", "c"))
     val cached = ListBuffer.empty[RDD[Row]]
     try {
-      val ((t, _), iterations) = Closure.run(pin(t0.rdd, cached))(_._2, _._1.unpersist(blocking = false)) {
+      val ((t, count), iterations) = Closure.run(pin(t0.rdd, cached))(_._2, _._1.unpersist(blocking = false)) {
         case (rows, _) => pin(step(spark.createDataset(rows)(t0.encoder), rules).rdd, cached)
       }
-      val rels = t.collect().groupMap(_.getString(0))(r => (r.getInt(1), r.getInt(2)))
-      CFPQResult(rels.map { case (nt, ps) => nt -> ps.toSet }, iterations)
+      Relation.requireFits("T (all nonterminals)", count)
+      val rels = t.collect().groupMap(_.getString(0))(r => Relation.pack(r.getInt(1), r.getInt(2)))
+      CFPQResult(rels.map { case (nt, cs) => nt -> Relation(cs) }, iterations)
     } finally cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
   }
 }

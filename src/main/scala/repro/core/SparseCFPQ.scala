@@ -18,5 +18,5 @@ object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR] {
     BoolCSR.multiplyMasked(terms, Some(mask))
   protected def union(a: BoolCSR, b: BoolCSR): BoolCSR = a.union(b)
   protected def cells(m: BoolCSR): Long = m.nnz.toLong
-  protected def toPairs(m: BoolCSR): Seq[(Int, Int)] = m.toPairs
+  protected def toPacked(m: BoolCSR): Array[Long] = m.toPacked
 }

@@ -1,5 +1,7 @@
 package repro.linalg
 
+import repro.core.Relation
+
 /** Mutable dense Boolean matrix, rows packed into 64-bit words — the local
   * analog of the paper's row-major dense matrices (dGPU/CUBLAS): every cell
   * is materialized, and the multiply cost is Θ(n³/64) regardless of
@@ -52,25 +54,23 @@ final class BitMatrix(val n: Int) extends Serializable {
     */
   def multiply(that: BitMatrix): BitMatrix = BitMatrix.multiplyMasked(Seq(this -> that), None)
 
-  /** All set cells as (row, col) pairs, row-major ascending. */
-  def toPairs: Vector[(Int, Int)] = {
-    val b = Vector.newBuilder[(Int, Int)]
-    var i = 0
-    while (i < n) {
-      val rowBase = i * wordsPerRow
-      var w = 0
-      while (w < wordsPerRow) {
-        var word = bits(rowBase + w)
-        while (word != 0) {
-          b += ((i, (w << 6) + java.lang.Long.numberOfTrailingZeros(word)))
-          word &= word - 1
-        }
-        w += 1
+  /** All set cells as packed [[Relation]] cells, row-major ascending. */
+  def toPacked: Array[Long] = {
+    val out = new Array[Long](Math.toIntExact(cardinality))
+    var c = 0; var w = 0
+    while (w < bits.length) {
+      var word = bits(w)
+      while (word != 0) {
+        out(c) = Relation.pack(w / wordsPerRow, ((w % wordsPerRow) << 6) + java.lang.Long.numberOfTrailingZeros(word))
+        word &= word - 1; c += 1
       }
-      i += 1
+      w += 1
     }
-    b.result()
+    out
   }
+
+  /** All set cells as (row, col) pairs, row-major ascending. */
+  def toPairs: Vector[(Int, Int)] = toPacked.iterator.map(Relation.unpack).toVector
 
   private def rowEmpty(i: Int): Boolean = {
     var w = i * wordsPerRow

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import scala.collection.mutable
+import repro.core.Relation
 
 /** Immutable sparse Boolean matrix in CSR (compressed sparse row) format —
   * the local analog of the paper's Math.NET / CUSPARSE CSR matrices
@@ -21,17 +22,20 @@ final class BoolCSR private (val numRows: Int,
   /** Number of set cells. */
   def nnz: Int = colIdx.length
 
-  /** All set cells as (row, col) pairs. */
-  def toPairs: Vector[(Int, Int)] = {
-    val b = Vector.newBuilder[(Int, Int)]
+  /** All set cells as packed [[Relation]] cells, row-major ascending. */
+  def toPacked: Array[Long] = {
+    val out = new Array[Long](nnz)
     var i = 0
     while (i < numRows) {
       var p = rowPtr(i)
-      while (p < rowPtr(i + 1)) { b += ((i, colIdx(p))); p += 1 }
+      while (p < rowPtr(i + 1)) { out(p) = Relation.pack(i, colIdx(p)); p += 1 }
       i += 1
     }
-    b.result()
+    out
   }
+
+  /** All set cells as (row, col) pairs, row-major ascending. */
+  def toPairs: Vector[(Int, Int)] = toPacked.iterator.map(Relation.unpack).toVector
 
   /** Boolean matrix product `this × that`: [[BoolCSR.multiplyMasked]]
     * with one term and no mask.

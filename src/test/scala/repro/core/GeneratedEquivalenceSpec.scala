@@ -2,12 +2,15 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop}
 import repro.{PropertyChecks, SparkSpec}
-import repro.cfg.CnfGrammar
+import repro.baseline.{GllCFPQ, HellingsCFPQ}
+import repro.cfg.{CnfGrammar, Earley}
 import repro.graph.LabeledGraph
 
 /** Dense, SparseCSR, SparkBlock and SparkDF against the literal Algorithm 1
   * ([[NaiveSetMatrixCFPQ]]) on generated labeled graphs × generated CNF
-  * grammars: equal relations and equal iteration counts.
+  * grammars: equal relations and equal iteration counts. Hellings and GLL
+  * give the same relations. Every engine but the reference returns its
+  * relations as [[Relation]]s, which must equal the reference's `Set`s.
   */
 class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
   import GeneratedEquivalenceSpec._
@@ -15,9 +18,21 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
   test("Dense and SparseCSR equal NaiveSetMatrix in relations and iterations (generated graphs x CNF grammars)") {
     checkProperty(Prop.forAllNoShrink(genGraph, genGrammar) { (graph, cnf) =>
       val truth = NaiveSetMatrixCFPQ.solve(graph, cnf)
-      Prop(DenseCFPQ.solve(graph, cnf) == truth) :| "Dense" &&
-        Prop(SparseCFPQ.solve(graph, cnf) == truth) :| "SparseCSR"
+      agrees("Dense", DenseCFPQ.solve(graph, cnf), truth) &&
+        agrees("SparseCSR", SparseCFPQ.solve(graph, cnf), truth)
     }, seed = 1986L, successes = 150)
+  }
+
+  test("Hellings equals NaiveSetMatrix in relations, GLL in the start relation (generated graphs x CNF grammars)") {
+    checkProperty(Prop.forAllNoShrink(genGraph, genGrammar) { (graph, cnf) =>
+      val truth = NaiveSetMatrixCFPQ.solve(graph, cnf)
+      val hellings = HellingsCFPQ.solve(graph, cnf)
+      val start = cnf.term.head._1
+      val gll = new GllCFPQ(Earley.toGrammar(cnf), start).solve(graph)
+      agrees("Hellings", hellings, truth.copy(iterations = hellings.iterations)) &&
+        Prop(packed(gll)) :| "GLL: a relation that is not a Relation" &&
+        Prop(gll(start) == truth(start) && truth(start) == gll(start)) :| s"GLL, R_$start"
+    }, seed = 1987L, successes = 150)
   }
 
   test("SparkBlock equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted (block sizes 1, 2, 3, 16)") {
@@ -25,7 +40,7 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
     checkProperty(Prop.forAllNoShrink(genGraphUpTo(16), genGrammar, Gen.oneOf(1, 2, 3, 16)) { (graph, cnf, bs) =>
       val persisted = sc.getPersistentRDDs.keySet
       val got = new SparkBlockCFPQ(spark, bs).solve(graph, cnf)
-      Prop(got == NaiveSetMatrixCFPQ.solve(graph, cnf)) :| s"SparkBlock, blockSize $bs" &&
+      agrees(s"SparkBlock, blockSize $bs", got, NaiveSetMatrixCFPQ.solve(graph, cnf)) &&
         Prop(sc.getPersistentRDDs.keySet == persisted) :| s"persisted RDDs left by a solve, blockSize $bs"
     }, seed = 2016L, successes = 60)
   }
@@ -36,13 +51,21 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
     checkProperty(Prop.forAllNoShrink(genGraph, genGrammar) { (graph, cnf) =>
       val persisted = sc.getPersistentRDDs.keySet
       val got = engine.solve(graph, cnf)
-      Prop(got == NaiveSetMatrixCFPQ.solve(graph, cnf)) :| "SparkDF" &&
+      agrees("SparkDF", got, NaiveSetMatrixCFPQ.solve(graph, cnf)) &&
         Prop(sc.getPersistentRDDs.keySet == persisted) :| "persisted RDDs left by a solve"
     }, seed = 2009L, successes = 20)
   }
 }
 
 object GeneratedEquivalenceSpec {
+
+  /** Every relation of `r` is a packed [[Relation]]. */
+  def packed(r: CFPQResult): Boolean = r.relations.values.forall(_.isInstanceOf[Relation])
+
+  /** `got` is packed and equals `truth`, compared from either side. */
+  def agrees(engine: String, got: CFPQResult, truth: CFPQResult): Prop =
+    Prop(packed(got)) :| s"$engine: a relation that is not a Relation" &&
+      Prop(got == truth && truth == got) :| engine
 
   private val nonterminals = Seq("A", "B", "C", "D")
   private val terminals = Seq("a", "b", "c")

@@ -24,7 +24,7 @@ class SemiNaiveWorkSpec extends AnyFunSuite {
     }
     protected def union(a: BoolCSR, b: BoolCSR): BoolCSR = a.union(b)
     protected def cells(m: BoolCSR): Long = m.nnz.toLong
-    protected def toPairs(m: BoolCSR): Seq[(Int, Int)] = m.toPairs
+    protected def toPacked(m: BoolCSR): Array[Long] = m.toPacked
   }
 
   test("funding/Q1: Σ kernel cells = Σ|R_A| − |T₀| (product cells = new cells)") {

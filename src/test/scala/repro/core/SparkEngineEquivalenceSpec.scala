@@ -1,13 +1,15 @@
 package repro.core
 
-import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 import org.apache.spark.SparkException
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.cfg.Queries
+import repro.cfg.{CNF, Grammar, Queries}
 import repro.data.Datasets
+import repro.graph.LabeledGraph
 
 /** The two Spark engines must agree exactly with the local sparse engine
   * (itself verified against the literal Algorithm 1 transcription, the
@@ -120,6 +122,22 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
+  test("SparkBlock's lineage does not grow with the step count: every step's job past the first runs over as many RDDs") {
+    val (got, starts) = jobStarts(new SparkBlockCFPQ(spark).solve(anbn(10), anbnCnf))
+    assert(got.iterations == 20 && starts.length == 20)
+    // The first step runs over the initial empty RDD, every later one over
+    // the last T, whose lineage the last step's job cut.
+    val rdds = starts.map(_.stageInfos.map(_.rddInfos.size).sum)
+    assert(rdds.drop(1).distinct.length == 1, rdds.mkString(", "))
+  }
+
+  test("SparkBlock finishes a 640-iteration closure (a^320 b^320) and equals SparseCSR") {
+    val graph = anbn(320)
+    val expect = SparseCFPQ.solve(graph, anbnCnf)
+    assert(expect.iterations == 640)
+    assert(new SparkBlockCFPQ(spark).solve(graph, anbnCnf) == expect)
+  }
+
   test("a cancelled solve leaves no RDD persisted, on both Spark engines") {
     val sc = spark.sparkContext
     for ((engine, i) <- Seq(new SparkBlockCFPQ(spark, blockSize = 4), df).zipWithIndex) {
@@ -152,6 +170,36 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
 
   private def group(e: SparkListenerJobStart): Option[String] =
     Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
+
+  /** `body`'s result and the start events of the jobs it ran, in order. */
+  private def jobStarts[A](body: => A): (A, Seq[SparkListenerJobStart]) = {
+    val sc = spark.sparkContext
+    val starts = new ConcurrentLinkedQueue[SparkListenerJobStart]
+    val sentinelSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = group(e) match {
+        case Some("observed") => starts.add(e)
+        case Some("sentinel") => sentinelSeen.countDown()
+        case _ =>
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("observed", "observed")
+      val result = try body finally sc.clearJobGroup()
+      // Events arrive in order: the sentinel's start follows every start of `body`.
+      sc.setJobGroup("sentinel", "sentinel")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      assert(sentinelSeen.await(60, TimeUnit.SECONDS), "listener saw no sentinel job")
+      (result, starts.asScala.toSeq)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** a^n b^n as a path graph; its closure under `S → a S b | a b` takes 2n iterations. */
+  private def anbn(n: Int): LabeledGraph =
+    LabeledGraph(2 * n + 1, (0 until 2 * n).map(i => (i, if (i < n) "a" else "b", i + 1)).toVector)
+
+  private lazy val anbnCnf = CNF.transform(Grammar.parse("S -> a S b | a b"))
 
   private lazy val LabeledGraph_small =
     repro.graph.LabeledGraph(Seq(
