@@ -17,21 +17,13 @@ object ExampleJob {
     val cnf = Queries.exampleCnf
     println(s"Grammar (paper Fig. 4):\n$cnf\n")
     println(s"Graph edges (paper Fig. 5): ${g.edges.mkString(", ")}\n")
-    var prev: Option[NaiveSetMatrixCFPQ.SetMatrix] = None
-    var i = 0
-    var done = false
-    val it = NaiveSetMatrixCFPQ.steps(g, cnf).iterator
-    while (!done) {
-      val m = it.next()
+    val result = NaiveSetMatrixCFPQ.solve(g, cnf)
+    NaiveSetMatrixCFPQ.steps(g, cnf).take(result.iterations + 1).zipWithIndex.foreach { case (m, i) =>
       println(s"T$i =")
       m.foreach(row => println("  " + row.map(s =>
         if (s.isEmpty) "∅" else s.toSeq.sorted.mkString("{", ",", "}")).mkString("  ")))
       println()
-      if (prev.contains(m)) done = true
-      prev = Some(m)
-      i += 1
     }
-    val result = NaiveSetMatrixCFPQ.solve(g, cnf)
     println(s"Fixpoint after ${result.iterations} iterations (paper: 6).\n")
     println("Resulting context-free relations (paper Fig. 9):")
     result.relations.toSeq.sortBy(_._1).foreach { case (a, pairs) =>

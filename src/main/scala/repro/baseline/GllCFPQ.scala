@@ -25,10 +25,12 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
   override val name = "GLL"
   override val relationalComplete = false
 
+  private val ntNames: Array[String] = grammar.nonterminals.toArray.sorted
+  private val ntIdx: Map[String, Int] = ntNames.zipWithIndex.toMap
+  require(ntIdx.contains(start), s"start $start is not a nonterminal of the grammar (${ntNames.mkString(", ")})")
   private val prods = grammar.productions.toIndexedSeq
   private val prodsByLhs: Map[String, Array[Int]] =
     prods.indices.groupBy(i => prods(i).lhs).map { case (l, is) => l -> is.toArray }
-  private val ntIdx: Map[String, Int] = grammar.nonterminals.toSeq.sorted.zipWithIndex.toMap
 
   def solve(graph: LabeledGraph, unusedCnf: CnfGrammar): CFPQResult = solve(graph)
 
@@ -86,11 +88,5 @@ final class GllCFPQ(grammar: Grammar, start: String) extends CFPQEngine {
     }
 
     CFPQResult(results.view.mapValues(b => Relation(b.result())).toMap, iterations = 1)
-  }
-
-  private val ntNames: Array[String] = {
-    val arr = new Array[String](ntIdx.size)
-    ntIdx.foreach { case (name, i) => arr(i) = name }
-    arr
   }
 }

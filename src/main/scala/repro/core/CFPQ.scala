@@ -13,18 +13,30 @@ import repro.graph.LabeledGraph
   * @param iterations number of closure iterations executed, counting the
   *                   final no-change iteration, as in the paper's example
   *                   (§4.3 reports k = 6 because T₆ = T₅)
+  * @param added      the cells each closure iteration added per nonterminal,
+  *                   zero entries dropped: one map per iteration, the last
+  *                   empty. Empty where no closure ran (the baselines), and
+  *                   compared by equality only where both results carry it.
   */
-final case class CFPQResult private (relations: Map[String, Set[(Int, Int)]], iterations: Int) {
+final case class CFPQResult private (relations: Map[String, Set[(Int, Int)]], iterations: Int, added: Seq[Map[String, Long]]) {
   def apply(nt: String): Set[(Int, Int)] = relations.getOrElse(nt, Set.empty)
   def count(nt: String): Int = apply(nt).size
 
-  def copy(relations: Map[String, Set[(Int, Int)]] = this.relations,
-           iterations: Int = this.iterations): CFPQResult = CFPQResult(relations, iterations)
+  def copy(relations: Map[String, Set[(Int, Int)]] = this.relations, iterations: Int = this.iterations,
+           added: Seq[Map[String, Long]] = this.added): CFPQResult = CFPQResult(relations, iterations, added)
+
+  override def equals(other: Any): Boolean = other match {
+    case r: CFPQResult => relations == r.relations && iterations == r.iterations &&
+      (added.isEmpty || r.added.isEmpty || added == r.added)
+    case _ => false
+  }
+  override def hashCode: Int = (relations, iterations).##
 }
 
 object CFPQResult {
-  def apply(relations: Map[String, Set[(Int, Int)]], iterations: Int): CFPQResult =
-    new CFPQResult(relations.filter(_._2.nonEmpty), iterations)
+  def apply(relations: Map[String, Set[(Int, Int)]], iterations: Int,
+            added: Seq[Map[String, Long]] = Seq.empty): CFPQResult =
+    new CFPQResult(relations.filter(_._2.nonEmpty), iterations, added)
 }
 
 /** A CFPQ evaluator. Implementations must agree exactly on `R_A` for every

@@ -6,32 +6,32 @@ import scala.annotation.tailrec
 
 /** The fixpoint loop of Algorithm 1 (lines 8–9): `T ← T ∪ (T·T)` until `T`
   * stops changing. Every optimized engine runs its closure through
-  * [[Closure.run]] and supplies only the step; [[NaiveSetMatrixCFPQ]] keeps
-  * its own loop as the literal reference.
+  * [[Closure.run]] and supplies only the step; [[NaiveSetMatrixCFPQ]], the
+  * literal reference, iterates its set matrices itself.
   */
 object Closure {
 
-  /** Applies `step` from `init` until the total cell count stops changing.
-    * `T` only grows, so an unchanged count means an unchanged `T`.
+  /** Applies `step` from `init` until a step adds nothing. `T` only grows,
+    * so a step that adds no cell leaves `T` unchanged.
     *
-    * @param cells   total number of set cells of a state
     * @param release frees a state once `step` has built its successor (the
     *                Spark engines unpersist it); steps that update their
     *                state in place leave it out
-    * @param step    one closure step; it must take every product against
-    *                the state it is given before adding any of them, or
-    *                the iteration count drops below Algorithm 1's
-    * @return the last state and the number of steps, counting the final
-    *         no-change one (the paper's §4.3 example: k = 6, since T₆ = T₅)
+    * @param step    one closure step: the successor and the cells it added
+    *                per nonterminal. It must take every product against the
+    *                state it is given before adding any of them, or the
+    *                iteration count drops below Algorithm 1's
+    * @return the last state and each step's added cells, zero entries dropped:
+    *         one map per iteration, the last one empty (§4.3: k = 6, T₆ = T₅)
     */
-  def run[S](init: S)(cells: S => Long, release: S => Unit = (_: S) => ())(step: S => S): (S, Int) = {
-    @tailrec def loop(cur: S, size: Long, iterations: Int): (S, Int) = {
-      val next = step(cur)
-      val nextSize = cells(next)
+  def run[S](init: S)(release: S => Unit = (_: S) => ())(step: S => (S, Map[String, Long])): (S, Seq[Map[String, Long]]) = {
+    @tailrec def loop(cur: S, added: Vector[Map[String, Long]]): (S, Seq[Map[String, Long]]) = {
+      val (next, grown) = step(cur)
       release(cur)
-      if (nextSize == size) (next, iterations) else loop(next, nextSize, iterations + 1)
+      val nonZero = grown.filter(_._2 != 0)
+      if (nonZero.isEmpty) (next, added :+ nonZero) else loop(next, added :+ nonZero)
     }
-    loop(init, cells(init), 1)
+    loop(init, Vector.empty)
   }
 }
 
@@ -45,8 +45,9 @@ object Closure {
   * The iterates are Algorithm 1's: with `T` the previous iterate, `T ∪ Δ`
   * the current one and `T·T ⊆ T ∪ Δ`, the naive product
   * `(T ∪ Δ)·(T ∪ Δ)` adds to `T ∪ Δ` exactly what `Δ·(T ∪ Δ) ∪ (T ∪ Δ)·Δ`
-  * adds. So the iteration count is the naive one, and the fixpoint test
-  * reads `Σ|Δ'|` (`Δ'` empty ⇔ no change). Engines supply only the kernel.
+  * adds. So the iteration count is the naive one, and a step reports
+  * `|Δ'_A|` as what it added to `A` (`Δ'` empty ⇔ no change). Engines
+  * supply only the kernel.
   */
 abstract class LocalMatrixCFPQ[M] extends CFPQEngine {
 
@@ -66,22 +67,19 @@ abstract class LocalMatrixCFPQ[M] extends CFPQEngine {
     val init = MatrixInit.cells(graph, grammar)
     val t0 = grammar.nonterminals.iterator.map(nt => nt -> fromPairs(n, init.getOrElse(nt, Seq.empty))).toMap
     val rulesByLhs = grammar.binary.groupBy(_._1)
-    // State: T, the non-empty Δs (an absent Δ is empty) and |T|.
-    val sizes0 = t0.map { case (nt, m) => nt -> cells(m) }
-    val start = (t0, t0.filter { case (nt, _) => sizes0(nt) > 0 }, sizes0.values.sum)
-    val ((t, _, _), iterations) = Closure.run(start)(_._3) { case (t, delta, size) =>
+    // State: T and the non-empty Δs (an absent Δ is empty).
+    val ((t, _), added) = Closure.run((t0, t0.filter { case (_, m) => cells(m) > 0 }))() { case (t, delta) =>
       val fresh = for {
         (a, rules) <- rulesByLhs.toSeq
         terms = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) ++ delta.get(c).map(t(b) -> _) }
         if terms.nonEmpty
         d = multiplyMasked(terms, t(a))
-        added = cells(d)
-        if added > 0
-      } yield (a, d, added)
-      (t ++ fresh.map { case (a, d, _) => a -> union(t(a), d) },
-        fresh.map { case (a, d, _) => a -> d }.toMap,
-        size + fresh.map(_._3).sum)
+        n = cells(d) if n > 0
+      } yield (a, d, n)
+      ((t ++ fresh.map { case (a, d, _) => a -> union(t(a), d) }, fresh.map { case (a, d, _) => a -> d }.toMap),
+        fresh.map { case (a, _, n) => a -> n }.toMap)
     }
-    CFPQResult(t.map { case (nt, m) => Relation.requireFits(nt, cells(m)); nt -> Relation.sorted(toPacked(m)) }, iterations)
+    CFPQResult(t.map { case (nt, m) => Relation.requireFits(nt, cells(m)); nt -> Relation.sorted(toPacked(m)) },
+      added.length, added)
   }
 }

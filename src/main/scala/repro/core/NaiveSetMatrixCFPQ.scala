@@ -45,18 +45,19 @@ object NaiveSetMatrixCFPQ extends CFPQEngine {
   def steps(graph: LabeledGraph, grammar: CnfGrammar): LazyList[SetMatrix] =
     LazyList.iterate(initial(graph, grammar))(step(_, grammar))
 
+  /** Iterates up to the first `k` with `T_k = T_{k−1}`: `k` iterations,
+    * counting the final no-change one. Step `i` added `|T_i,A| − |T_{i−1},A|`
+    * cells to `A`.
+    */
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    var t = initial(graph, grammar)
-    var iterations = 0
-    var changed = true
-    while (changed) {
-      iterations += 1
-      val t2 = step(t, grammar)
-      if (t2 == t) changed = false else t = t2
-    }
-    val rels = (for {
+    val ts = steps(graph, grammar)
+    val k = ts.zip(ts.tail).indexWhere { case (prev, next) => prev == next } + 1
+    val rels = ts.take(k + 1).toVector.map(t => (for {
       i <- t.indices; j <- t.indices; a <- t(i)(j)
-    } yield (a, (i, j))).groupBy(_._1).map { case (a, xs) => a -> xs.map(_._2).toSet }
-    CFPQResult(rels, iterations)
+    } yield (a, (i, j))).groupMap(_._1)(_._2))
+    val added = rels.zip(rels.tail).map { case (prev, next) =>
+      next.map { case (a, ps) => a -> (ps.size - prev.get(a).fold(0)(_.size).toLong) }.filter(_._2 != 0)
+    }
+    CFPQResult(rels.last.map { case (a, ps) => a -> ps.toSet }, k, added)
   }
 }

@@ -21,8 +21,8 @@ import repro.linalg.BoolCSR
   * row and of its block column, and only `Δ` moves, broadcast from the
   * driver. A step absorbs `Δ` into `T` and collects
   * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A` from it: one Spark job with
-  * no shuffle. The driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ` needs
-  * no further job.
+  * no shuffle, and reports `Δ'`'s tile `nnz` summed per nonterminal. The
+  * driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ` needs no further job.
   *
   * @param spark     session to run on
   * @param blockSize side of square tiles; small graphs collapse to one
@@ -41,9 +41,9 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
     val deltas = ListBuffer(t0)
     val cached = ListBuffer.empty[RDD[(Key, BoolCSR)]]
     val broadcasts = ListBuffer.empty[Broadcast[Tiles]]
-    // State: T without Δ yet, Δ on the driver (Δ₀ = T₀) and |T ∪ Δ|.
-    val (_, iterations) = try {
-      Closure.run((empty, t0, nnz(t0)))(_._3, _._1.unpersist(blocking = false)) { case (t, delta, size) =>
+    // State: T without Δ yet and Δ on the driver (Δ₀ = T₀).
+    val (_, added) = try {
+      Closure.run((empty, t0))(_._1.unpersist(blocking = false)) { case (t, delta) =>
         val d = sc.broadcast(delta)
         broadcasts += d
         // The step's job stores T ∪ Δ and cuts its lineage, which then stays one step deep.
@@ -51,14 +51,14 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
         cached += t2
         val fresh = step(t2, d, grammar).collect().groupMapReduce(_._1)(_._2)(_ union _)
         deltas += fresh
-        (t2, fresh, size + nnz(fresh))
+        ((t2, fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
       }
     } finally {
       // The last state; after a failed step, the one it started from too.
       cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
       broadcasts.foreach(_.destroy())
     }
-    CFPQResult(cells(deltas), iterations)
+    CFPQResult(cells(deltas), added.length, added)
   }
 }
 
@@ -92,9 +92,6 @@ object SparkBlockCFPQ {
       Relation.requireFits(nt, ts.iterator.map(_._2.nnz.toLong).sum)
       nt -> Relation(ts.flatMap { case ((_, bi, bj), m) => m.toPacked.map(_ + Relation.pack(bi * m.numRows, bj * m.numCols)) })
     }
-
-  /** Total set cells. */
-  private[repro] def nnz(tiles: Tiles): Long = tiles.valuesIterator.map(_.nnz.toLong).sum
 
   /** `T ∪ Δ` in place: partition `p` of `P` holds the tiles whose block row
     * or block column is `p` modulo `P`, so a tile lives on one partition

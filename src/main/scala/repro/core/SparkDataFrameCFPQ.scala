@@ -20,21 +20,22 @@ import repro.graph.LabeledGraph
   * }}}
   *
   * followed by DISTINCT — the relational reading of the Boolean matrix
-  * multiply-and-union. Iterated to fixpoint (row count stable; the
-  * relation is monotone, so count equality is set equality).
+  * multiply-and-union. Iterated to fixpoint: the relation is monotone, so
+  * a nonterminal's row count grows by the cells a step added to it, and no
+  * growth means no change.
   *
   * This is the engine whose output is checked against the DuckDB oracle.
   *
-  * Each iteration's rows are persisted and counted in the one job that
-  * fills the cache, and the next frame is rebuilt over them, not taken from
-  * `Dataset.localCheckpoint()`. A local checkpoint truncates lineage but
-  * *carries over* the optimized plan's statistics into the resulting
-  * `LogicalRDD`; in this iterated self-join those `sizeInBytes` estimates
-  * compound multiplicatively (iteration k's plan multiplies iteration
-  * k−1's several times), so the BigInt estimate grows to ~3^k digits and
-  * Catalyst ends up spending minutes multiplying million-digit integers
-  * (observed on the wine graph at ~12 iterations). A frame over an RDD
-  * starts from default statistics every time.
+  * Each iteration's rows are persisted and counted per nonterminal in the
+  * one job that fills the cache, and the next frame is rebuilt over them,
+  * not taken from `Dataset.localCheckpoint()`. A local checkpoint truncates
+  * lineage but *carries over* the optimized plan's statistics into the
+  * resulting `LogicalRDD`; in this iterated self-join those `sizeInBytes`
+  * estimates compound multiplicatively (iteration k's plan multiplies
+  * iteration k−1's several times), so the BigInt estimate grows to ~3^k
+  * digits and Catalyst ends up spending minutes multiplying million-digit
+  * integers (observed on the wine graph at ~12 iterations). A frame over an
+  * RDD starts from default statistics every time.
   */
 final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
   import SparkDataFrameCFPQ._
@@ -48,25 +49,27 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
     val rules = broadcast(grammar.binary.toDF("a", "b", "c"))
     val cached = ListBuffer.empty[RDD[Row]]
     try {
-      val ((t, count), iterations) = Closure.run(pin(t0.rdd, cached))(_._2, _._1.unpersist(blocking = false)) {
-        case (rows, _) => pin(step(spark.createDataset(rows)(t0.encoder), rules).rdd, cached)
+      val ((t, counts), added) = Closure.run(pin(t0.rdd, cached))(_._1.unpersist(blocking = false)) { case (rows, counts) =>
+        val next @ (_, nextCounts) = pin(step(spark.createDataset(rows)(t0.encoder), rules).rdd, cached)
+        (next, nextCounts.map { case (nt, n) => nt -> (n - counts.getOrElse(nt, 0L)) })
       }
-      Relation.requireFits("T (all nonterminals)", count)
+      Relation.requireFits("T (all nonterminals)", counts.values.sum)
       val rels = t.collect().groupMap(_.getString(0))(r => Relation.pack(r.getInt(1), r.getInt(2)))
-      CFPQResult(rels.map { case (nt, cs) => nt -> Relation(cs) }, iterations)
+      CFPQResult(rels.map { case (nt, cs) => nt -> Relation(cs) }, added.length, added)
     } finally cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
   }
 }
 
 object SparkDataFrameCFPQ {
 
-  /** Persists `rows` and counts them (one cell each) in the job that fills
-    * the cache. `rows` go into `cached` first, so that a solve whose count
-    * fails still unpersists them.
+  /** Persists `rows` and counts them (one cell each) per nonterminal in the
+    * job that fills the cache: partition counts, summed after `collect()`, no
+    * shuffle. `rows` go into `cached` first, so a failed count unpersists them.
     */
-  private[repro] def pin(rows: RDD[Row], cached: ListBuffer[RDD[Row]]): (RDD[Row], Long) = {
+  private[repro] def pin(rows: RDD[Row], cached: ListBuffer[RDD[Row]]): (RDD[Row], Map[String, Long]) = {
     cached += rows.persist(StorageLevel.MEMORY_AND_DISK)
-    (rows, rows.count())
+    val counts = rows.mapPartitions(_.map(_.getString(0)).toSeq.groupMapReduce(identity)(_ => 1L)(_ + _).iterator)
+    (rows, counts.collect().groupMapReduce(_._1)(_._2)(_ + _))
   }
 
   /** The Catalyst step: `T ∪ π_{a, l.src, r.dst}(T l ⋈ rules ⋈ T r)`, distinct. */

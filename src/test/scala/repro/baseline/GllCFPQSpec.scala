@@ -65,6 +65,11 @@ class GllCFPQSpec extends AnyFunSuite {
     assert(gll == matrix)
   }
 
+  test("a start that is not a nonterminal of the grammar is rejected, naming it and the nonterminals") {
+    val e = intercept[IllegalArgumentException](new GllCFPQ(anbn, "A"))
+    assert(e.getMessage.contains("start A is not a nonterminal of the grammar (S)"), e.getMessage)
+  }
+
   test("relationalComplete is false (top-down engine)") {
     assert(!new GllCFPQ(Queries.q1, "S").relationalComplete)
   }

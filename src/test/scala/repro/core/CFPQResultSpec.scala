@@ -20,6 +20,19 @@ class CFPQResultSpec extends AnyFunSuite {
     assert(r.copy(relations = Map("U" -> Set.empty)).relations.isEmpty)
   }
 
+  test("the cells added per step take part in equality when both results report them") {
+    val rel = Map("S" -> Set((0, 1)))
+    val grown = CFPQResult(rel, 2, Seq(Map("S" -> 1L), Map.empty))
+    assert(grown == CFPQResult(rel, 2, Seq(Map("S" -> 1L), Map.empty)))
+    assert(grown != CFPQResult(rel, 2, Seq(Map("S" -> 2L), Map.empty)))
+    assert(grown != grown.copy(added = Seq(Map.empty, Map("S" -> 1L))))
+    // A result that reports no growth (a baseline's) compares relations and iterations only.
+    val unreported = CFPQResult(rel, 2)
+    assert(unreported.added.isEmpty && grown == unreported && unreported == grown)
+    assert(grown.hashCode == unreported.hashCode)
+    assert(grown.copy(relations = rel).added == grown.added)
+  }
+
   test("MatrixInit collects label-matching edges per nonterminal, deduplicated") {
     val g = LabeledGraph(3, Vector((0, "a", 1), (0, "a", 1), (1, "b", 2), (2, "a", 0)))
     val cnf = CnfGrammar(

@@ -25,10 +25,10 @@ object EngineFixtures {
   val termOnly: CnfGrammar = CnfGrammar(binary = Seq.empty, term = Seq(("A", "a"), ("B", "b"), ("C", "c")))
 
   /** What every matrix engine must return for [[termOnly]]: exactly the
-    * initial cells, after one (no-change) iteration.
+    * initial cells, after one (no-change) iteration that added nothing.
     */
   def termOnlyResult(graph: LabeledGraph): CFPQResult =
-    CFPQResult(MatrixInit.cells(graph, termOnly).map { case (nt, ps) => nt -> ps.toSet }, 1)
+    CFPQResult(MatrixInit.cells(graph, termOnly).map { case (nt, ps) => nt -> ps.toSet }, 1, Seq(Map.empty))
 
   def randomGraph(rnd: Random, alphabet: Seq[String], maxNodes: Int = 10): LabeledGraph = {
     val n = 2 + rnd.nextInt(maxNodes - 1)

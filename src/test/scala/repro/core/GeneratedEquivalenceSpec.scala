@@ -8,9 +8,11 @@ import repro.graph.LabeledGraph
 
 /** Dense, SparseCSR, SparkBlock and SparkDF against the literal Algorithm 1
   * ([[NaiveSetMatrixCFPQ]]) on generated labeled graphs × generated CNF
-  * grammars: equal relations and equal iteration counts. Hellings and GLL
-  * give the same relations. Every engine but the reference returns its
-  * relations as [[Relation]]s, which must equal the reference's `Set`s.
+  * grammars: equal relations, iteration counts and cells added per step.
+  * Hellings and GLL give the same relations. Renaming the nodes renames
+  * Dense's and SparseCSR's relations and changes nothing else. Every engine
+  * but the reference returns its relations as [[Relation]]s, which must
+  * equal the reference's `Set`s.
   */
 class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
   import GeneratedEquivalenceSpec._
@@ -29,10 +31,26 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
       val hellings = HellingsCFPQ.solve(graph, cnf)
       val start = cnf.term.head._1
       val gll = new GllCFPQ(Earley.toGrammar(cnf), start).solve(graph)
-      agrees("Hellings", hellings, truth.copy(iterations = hellings.iterations)) &&
+      agrees("Hellings", hellings, truth.copy(iterations = hellings.iterations, added = hellings.added)) &&
         Prop(packed(gll)) :| "GLL: a relation that is not a Relation" &&
         Prop(gll(start) == truth(start) && truth(start) == gll(start)) :| s"GLL, R_$start"
     }, seed = 1987L, successes = 150)
+  }
+
+  test("renaming the nodes renames every relation of Dense and SparseCSR and keeps iterations and growth (generated graphs x CNF grammars)") {
+    val renamedGraphs = for {
+      graph <- genGraph
+      perm <- genPermutation(graph.numNodes)
+    } yield (graph, perm)
+    checkProperty(Prop.forAllNoShrink(renamedGraphs, genGrammar) { case ((graph, perm), cnf) =>
+      val renamed = LabeledGraph(graph.numNodes, graph.edges.map { case (s, l, d) => (perm(s), l, perm(d)) })
+      Seq(DenseCFPQ, SparseCFPQ).map { e =>
+        val (r, p) = (e.solve(graph, cnf), e.solve(renamed, cnf))
+        val expected = r.relations.map { case (nt, rel) => nt -> rel.map { case (s, d) => (perm(s), perm(d)) } }
+        Prop(p.relations == expected) :| s"${e.name}: relations not renamed by $perm" &&
+          Prop(p.iterations == r.iterations && p.added == r.added) :| s"${e.name}: iterations or growth changed by $perm"
+      }.reduce(_ && _)
+    }, seed = 1729L, successes = 150)
   }
 
   test("SparkBlock equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted (block sizes 1, 2, 3, 16)") {
@@ -62,10 +80,17 @@ object GeneratedEquivalenceSpec {
   /** Every relation of `r` is a packed [[Relation]]. */
   def packed(r: CFPQResult): Boolean = r.relations.values.forall(_.isInstanceOf[Relation])
 
-  /** `got` is packed and equals `truth`, compared from either side. */
+  /** `got` is packed and equals `truth`, compared from either side, with
+    * equal growth per step even where one side reports none.
+    */
   def agrees(engine: String, got: CFPQResult, truth: CFPQResult): Prop =
     Prop(packed(got)) :| s"$engine: a relation that is not a Relation" &&
-      Prop(got == truth && truth == got) :| engine
+      Prop(got == truth && truth == got) :| engine &&
+      Prop(got.added == truth.added) :| s"$engine: cells added per step ${got.added} vs ${truth.added}"
+
+  /** A permutation of `0 until n`: the order of `n` generated keys. */
+  def genPermutation(n: Int): Gen[Vector[Int]] =
+    Gen.listOfN(n, Gen.choose(0.0, 1.0)).map(keys => keys.zipWithIndex.sortBy(_._1).map(_._2).toVector)
 
   private val nonterminals = Seq("A", "B", "C", "D")
   private val terminals = Seq("a", "b", "c")

@@ -11,9 +11,10 @@ import repro.cfg.Queries
 import repro.graph.LabeledGraph
 
 /** SparkDF's materialization of a closure state: its rows are persisted and
-  * counted in one job ([[SparkDataFrameCFPQ.pin]]), and the next step's
-  * frame is rebuilt over them with `createDataset(rows)(encoder)`, as
-  * [[SparkDataFrameCFPQ.solve]] does. Runs Q1 on the paper's example.
+  * counted per nonterminal in one job ([[SparkDataFrameCFPQ.pin]]), and the
+  * next step's frame is rebuilt over them with
+  * `createDataset(rows)(encoder)`, as [[SparkDataFrameCFPQ.solve]] does.
+  * Runs Q1 on the paper's example.
   */
 class MaterializeSpec extends SparkSpec with BeforeAndAfterEach {
   import SparkDataFrameCFPQ._
@@ -43,22 +44,27 @@ class MaterializeSpec extends SparkSpec with BeforeAndAfterEach {
   }
 
   /** Pin a frame's rows and rebuild a frame over them, as SparkDF does. */
-  private def pinFrame(df: DataFrame): (Long, DataFrame) = {
-    val (rows, count) = pin(df.rdd, cached)
-    (count, spark.createDataset(rows)(df.encoder))
+  private def pinFrame(df: DataFrame): (Map[String, Long], DataFrame) = {
+    val (rows, counts) = pin(df.rdd, cached)
+    (counts, spark.createDataset(rows)(df.encoder))
   }
+
+  /** Rows per nonterminal. */
+  private def countsOf(cells: Seq[(String, Int, Int)]): Map[String, Long] =
+    cells.groupMapReduce(_._1)(_ => 1L)(_ + _)
 
   private def triple(r: Row): (String, Int, Int) = (r.getString(0), r.getInt(1), r.getInt(2))
 
   private def triples(df: DataFrame): Seq[(String, Int, Int)] = df.collect().toSeq.map(triple)
 
   test("frame preserves rows and reports the count") {
-    val (count0, frame0) = pinFrame(t0)
-    assert(count0 == 5) // Fig. 6: five cells
+    val (counts0, frame0) = pinFrame(t0)
+    assert(counts0.values.sum == 5) // Fig. 6: five cells
+    assert(counts0 == countsOf(t0Cells))
     assert(triples(frame0).sorted == t0Cells.sorted)
-    val (count1, frame1) = pinFrame(step(frame0, rules))
+    val (counts1, frame1) = pinFrame(step(frame0, rules))
     val rows1 = triples(frame1)
-    assert(count1 == rows1.size && rows1.distinct.size == rows1.size)
+    assert(counts1 == countsOf(rows1) && rows1.distinct.size == rows1.size)
     assert(t0Cells.toSet.subsetOf(rows1.toSet) && rows1.size > 5)
   }
 
@@ -80,8 +86,8 @@ class MaterializeSpec extends SparkSpec with BeforeAndAfterEach {
   test("the count is the row count, and the input is computed once") {
     val computed = spark.sparkContext.longAccumulator("rows computed")
     val rdd = t0.rdd.map { r => computed.add(1); r }
-    val (rows, count) = pin(rdd, cached)
-    assert(count == 5)
+    val (rows, counts) = pin(rdd, cached)
+    assert(counts.values.sum == 5 && counts == countsOf(t0Cells))
     assert(cached.toSeq == Seq(rows) && rows.getStorageLevel == StorageLevel.MEMORY_AND_DISK)
     assert(rows.collect().toSeq.map(triple).sorted == t0Cells.sorted)
     assert(computed.sum == 5) // counted and then read back from the cache

@@ -38,6 +38,9 @@ class BlockBoolMatrixSpec extends SparkSpec {
     for (parts <- 1 to 3) assert(gather(place(tiles, parts)) == cells(Seq(tiles)), s"P=$parts")
   }
 
+  /** Total set cells of a tile map. */
+  private def nnz(tiles: Tiles): Long = tiles.valuesIterator.map(_.nnz.toLong).sum
+
   test("nnz counts cells across blocks and nonterminals") {
     val tiles = tile(4, Map("A" -> Seq((0, 0), (7, 7), (0, 0)), "B" -> Seq((1, 1))))
     assert(nnz(tiles) == 3) // duplicate deduped
