@@ -61,16 +61,13 @@ trait CFPQEngine {
   * Boolean cell list per nonterminal.
   */
 object MatrixInit {
-  def cells(graph: LabeledGraph, grammar: CnfGrammar): Map[String, Seq[(Int, Int)]] = {
-    val perNt = scala.collection.mutable.Map.empty[String, Vector[(Int, Int)]]
-    graph.byLabel.foreach { case (label, pairs) =>
-      grammar.byTerminal.getOrElse(label, Set.empty).foreach { nt =>
-        perNt.updateWith(nt) {
-          case Some(v) => Some(v ++ pairs)
-          case None    => Some(pairs)
-        }
-      }
-    }
-    perNt.view.mapValues(_.distinct).toMap
-  }
+
+  /** A nonterminal that derives one terminal shares `graph.byLabel`'s
+    * already distinct cells; one that derives several is deduplicated.
+    */
+  def cells(graph: LabeledGraph, grammar: CnfGrammar): Map[String, Seq[(Int, Int)]] =
+    graph.byLabel.toSeq
+      .flatMap { case (label, pairs) => grammar.byTerminal.getOrElse(label, Set.empty).iterator.map(_ -> pairs) }
+      .groupMap(_._1)(_._2)
+      .map { case (nt, Seq(pairs)) => nt -> pairs; case (nt, all) => nt -> all.flatten.distinct }
 }

@@ -42,28 +42,33 @@ final class BoolCSR private (val numRows: Int,
     */
   def multiply(that: BoolCSR): BoolCSR = BoolCSR.multiplyMasked(Seq(this -> that), None)
 
-  /** Boolean union (elementwise OR) — merge of sorted rows. */
+  /** Boolean union (elementwise OR). The output is allocated once at
+    * `nnz + that.nnz` cells; a row with cells on one side only is copied
+    * whole, a row with cells on both is merged without duplicates, and the
+    * output is trimmed only if the operands overlapped.
+    */
   def union(that: BoolCSR): BoolCSR = {
     require(numRows == that.numRows && numCols == that.numCols, "dim mismatch in union")
+    Relation.requireFits("BoolCSR union", nnz.toLong + that.nnz)
     val outPtr = new Array[Int](numRows + 1)
-    val buf = new mutable.ArrayBuilder.ofInt
+    val out = new Array[Int](nnz + that.nnz)
+    var w = 0
     var i = 0
     while (i < numRows) {
       var p = rowPtr(i); var q = that.rowPtr(i)
       val pe = rowPtr(i + 1); val qe = that.rowPtr(i + 1)
-      var cnt = 0
-      while (p < pe || q < qe) {
-        val a = if (p < pe) colIdx(p) else Int.MaxValue
-        val b = if (q < qe) that.colIdx(q) else Int.MaxValue
-        if (a == b) { buf += a; p += 1; q += 1 }
-        else if (a < b) { buf += a; p += 1 }
-        else { buf += b; q += 1 }
-        cnt += 1
+      while (p < pe && q < qe) {
+        val a = colIdx(p); val b = that.colIdx(q)
+        if (a <= b) { out(w) = a; p += 1; if (a == b) q += 1 }
+        else { out(w) = b; q += 1 }
+        w += 1
       }
-      outPtr(i + 1) = outPtr(i) + cnt
+      System.arraycopy(colIdx, p, out, w, pe - p); w += pe - p
+      System.arraycopy(that.colIdx, q, out, w, qe - q); w += qe - q
+      outPtr(i + 1) = w
       i += 1
     }
-    new BoolCSR(numRows, numCols, outPtr, buf.result())
+    new BoolCSR(numRows, numCols, outPtr, if (w == out.length) out else java.util.Arrays.copyOf(out, w))
   }
 
   override def equals(o: Any): Boolean = o match {
@@ -142,28 +147,36 @@ object BoolCSR {
     new BoolCSR(numRows, numCols, outPtr, out.result())
   }
 
-  /** Build from (row, col) pairs (duplicates allowed). */
-  def fromPairs(numRows: Int, numCols: Int, pairs: IterableOnce[(Int, Int)]): BoolCSR = {
-    val perRow = Array.fill(numRows)(new mutable.ArrayBuilder.ofInt)
-    pairs.iterator.foreach { case (i, j) =>
-      require(i >= 0 && i < numRows && j >= 0 && j < numCols, s"cell ($i,$j) out of ${numRows}x$numCols")
-      perRow(i) += j
-    }
+  /** Build from (row, col) pairs, duplicates allowed, by counting sort
+    * (Gustavson 1978): count the cells per row, prefix-sum the counts into
+    * `rowPtr`, scatter the columns, then sort each row and drop its
+    * duplicates in place. `pairs` is traversed twice.
+    */
+  def fromPairs(numRows: Int, numCols: Int, pairs: Iterable[(Int, Int)]): BoolCSR = {
     val rowPtr = new Array[Int](numRows + 1)
-    val rows = new Array[Array[Int]](numRows)
-    var i = 0
-    while (i < numRows) {
-      val r = perRow(i).result().distinct.sorted
-      rows(i) = r
-      rowPtr(i + 1) = rowPtr(i) + r.length
-      i += 1
+    pairs.foreach { case (i, j) =>
+      require(i >= 0 && i < numRows && j >= 0 && j < numCols, s"cell ($i,$j) out of ${numRows}x$numCols")
+      rowPtr(i + 1) += 1
     }
+    var r = 0
+    while (r < numRows) { rowPtr(r + 1) += rowPtr(r); r += 1 }
     val colIdx = new Array[Int](rowPtr(numRows))
-    i = 0
-    while (i < numRows) {
-      System.arraycopy(rows(i), 0, colIdx, rowPtr(i), rows(i).length)
-      i += 1
+    val next = java.util.Arrays.copyOf(rowPtr, numRows)
+    pairs.foreach { case (i, j) => colIdx(next(i)) = j; next(i) += 1 }
+    var w = 0
+    r = 0
+    while (r < numRows) {
+      val s = rowPtr(r); val e = rowPtr(r + 1)
+      java.util.Arrays.sort(colIdx, s, e)
+      rowPtr(r) = w
+      var p = s
+      while (p < e) {
+        if (w == rowPtr(r) || colIdx(w - 1) != colIdx(p)) { colIdx(w) = colIdx(p); w += 1 }
+        p += 1
+      }
+      r += 1
     }
-    new BoolCSR(numRows, numCols, rowPtr, colIdx)
+    rowPtr(numRows) = w
+    new BoolCSR(numRows, numCols, rowPtr, if (w == colIdx.length) colIdx else java.util.Arrays.copyOf(colIdx, w))
   }
 }

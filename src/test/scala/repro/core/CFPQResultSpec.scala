@@ -59,4 +59,12 @@ class CFPQResultSpec extends AnyFunSuite {
     assert(cells("A").toSet == Set((0, 1)))
     assert(cells("B").toSet == Set((0, 1)))
   }
+
+  test("a nonterminal deriving two terminals that label the same node pair gets the pair once") {
+    val g = LabeledGraph(2, Vector((0, "a", 1), (0, "b", 1)))
+    val cnf = CnfGrammar(binary = Seq.empty, term = Seq(("A", "a"), ("A", "b"), ("B", "b")))
+    val cells = MatrixInit.cells(g, cnf)
+    assert(cells("A") == Seq((0, 1)))
+    assert(cells("B") eq g.byLabel("b")) // one terminal: the graph's distinct cells as they are
+  }
 }

@@ -1,6 +1,8 @@
 package repro.linalg
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertyChecks
 import scala.util.Random
 
 /** Reference semantics for the sparse kernels: plain set-of-pairs algebra. */
@@ -15,7 +17,8 @@ object BoolRef {
     } yield (i, j)).toSet
 }
 
-class BoolCSRSpec extends AnyFunSuite {
+class BoolCSRSpec extends AnyFunSuite with PropertyChecks {
+  import BoolCSRSpec._
 
   test("fromPairs/toPairs round-trip with duplicates and unordered input") {
     val m = BoolCSR.fromPairs(3, 4, Seq((2, 1), (0, 3), (2, 1), (0, 0)))
@@ -111,5 +114,68 @@ class BoolCSRSpec extends AnyFunSuite {
       val got = BoolCSR.fromPairs(n, m, ap).union(BoolCSR.fromPairs(n, m, bp)).toPairs.toSet
       assert(got == (ap ++ bp))
     }
+  }
+
+  test("fromPairs builds exactly the CSR arrays of its distinct cells (generated: duplicates, unordered, empty rows, >64 columns)") {
+    checkProperty(Prop.forAllNoShrink(genUnionCase) { c =>
+      val m = BoolCSR.fromPairs(c.rows, c.cols, c.aInput)
+      val (rowPtr, colIdx) = arrays(c.rows, c.a)
+      Prop(m.rowPtr.toSeq == rowPtr) :| "rowPtr" && Prop(m.colIdx.toSeq == colIdx) :| "colIdx" &&
+        Prop(m.numRows == c.rows && m.numCols == c.cols) :| "shape"
+    }, seed = 1978L)
+  }
+
+  test("union equals the matrix of the set union, structurally (generated: disjoint, overlapping and one-sided rows)") {
+    checkProperty(Prop.forAllNoShrink(genUnionCase) { c =>
+      val a = BoolCSR.fromPairs(c.rows, c.cols, c.aInput)
+      val b = BoolCSR.fromPairs(c.rows, c.cols, c.bInput)
+      val expected = BoolCSR.fromPairs(c.rows, c.cols, c.a ++ c.b)
+      Prop(a.union(b) == expected) :| "a ∪ b" && Prop(b.union(a) == expected) :| "b ∪ a" &&
+        Prop(a.union(a) == a) :| "a ∪ a"
+    }, seed = 2019L)
+  }
+}
+
+object BoolCSRSpec {
+
+  /** The CSR arrays of `cells`, built directly from the sorted set. */
+  def arrays(rows: Int, cells: Set[(Int, Int)]): (Seq[Int], Seq[Int]) = {
+    val sorted = cells.toSeq.sorted
+    ((0 to rows).map(i => sorted.count(_._1 < i)), sorted.map(_._2))
+  }
+
+  /** Two operands as cell sets and as the input lists `fromPairs` gets. */
+  final case class UnionCase(rows: Int, cols: Int, a: Set[(Int, Int)], b: Set[(Int, Int)],
+                             aInput: Seq[(Int, Int)], bInput: Seq[(Int, Int)])
+
+  /** Cells at a random density; some rows are left empty on purpose. */
+  private def genCells(rows: Int, cols: Int): Gen[Set[(Int, Int)]] = for {
+    density <- Gen.oneOf(0.0, 0.02, 0.1, 0.4)
+    emptyRows <- Gen.containerOf[Set, Int](Gen.choose(0, rows - 1))
+    seed <- Gen.long
+  } yield BoolRef.randomPairs(new Random(seed), rows, cols, density).filterNot(c => emptyRows(c._1))
+
+  /** Each cell one to three times, in random order. */
+  private def input(cells: Set[(Int, Int)], seed: Long): Seq[(Int, Int)] = {
+    val rnd = new Random(seed)
+    rnd.shuffle(cells.toSeq.flatMap(c => Seq.fill(1 + rnd.nextInt(3))(c)))
+  }
+
+  val genUnionCase: Gen[UnionCase] = for {
+    rows <- Gen.choose(1, 24)
+    cols <- Gen.frequency(1 -> Gen.choose(1, 64), 2 -> Gen.choose(65, 140))
+    a <- genCells(rows, cols)
+    other <- genCells(rows, cols)
+    kind <- Gen.choose(0, 2)
+    seed <- Gen.long
+  } yield {
+    // Disjoint (the closure's T_A ∪ Δ'_A), overlapping (SparkBlock's duplicate tiles),
+    // or only on rows `a` leaves empty, so that every row has cells on one side at most.
+    val b = kind match {
+      case 0 => other -- a
+      case 1 => other ++ a.filter(c => (c._1 + c._2) % 2 == 0)
+      case _ => other.filterNot(c => a.exists(_._1 == c._1))
+    }
+    UnionCase(rows, cols, a, b, input(a, seed), input(b, ~seed))
   }
 }
