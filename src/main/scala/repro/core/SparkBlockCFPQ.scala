@@ -12,9 +12,9 @@ import repro.linalg.BoolCSR
 /** Algorithm 1 over a *distributed block-sparse* Boolean matrix — the
   * paper's **sGPU** analog. The paper offloads CSR Boolean multiplications
   * to CUSPARSE on a GPU; here the per-nonterminal matrices are tiled into
-  * [[repro.linalg.BoolCSR]] tiles of a pair RDD, and each output tile of a
-  * step is one call of [[SparseCFPQ]]'s (sCPU) masked kernel inside a
-  * Spark task, standing in for a CUDA thread block.
+  * [[repro.linalg.BoolCSR]] tiles, one tile map per RDD partition, and each
+  * output tile of a step is one call of [[SparseCFPQ]]'s (sCPU) masked
+  * kernel inside a Spark task, standing in for a CUDA thread block.
   *
   * The closure is [[LocalMatrixCFPQ]]'s semi-naive step with `T` kept in
   * place: `T` is persisted once, each tile on the partitions of its block
@@ -22,7 +22,9 @@ import repro.linalg.BoolCSR
   * driver. A step absorbs `Δ` into `T` and collects
   * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A` from it: one Spark job with
   * no shuffle, and reports `Δ'`'s tile `nnz` summed per nonterminal. The
-  * driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ` needs no further job.
+  * work per partition is the companion's plain [[SparkBlockCFPQ.absorb]]
+  * and [[SparkBlockCFPQ.step]]; Spark only schedules them. The driver keeps
+  * every `Δ`, so the result `T₀ ∪ ⋃ Δ` needs no further job.
   *
   * @param spark     session to run on
   * @param blockSize side of square tiles; small graphs collapse to one
@@ -35,28 +37,31 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
 
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val sc = spark.sparkContext
-    val blockRows = (math.max(graph.numNodes, 1) + blockSize - 1) / blockSize
-    val empty = sc.parallelize(Seq.empty[(Key, BoolCSR)], math.min(sc.defaultParallelism, blockRows))
+    val parts = math.min(sc.defaultParallelism, (math.max(graph.numNodes, 1) + blockSize - 1) / blockSize)
+    val empty = sc.parallelize(Seq.fill(parts)(Map.empty: Tiles), parts)
     val t0 = tile(blockSize, MatrixInit.cells(graph, grammar))
     val deltas = ListBuffer(t0)
-    val cached = ListBuffer.empty[RDD[(Key, BoolCSR)]]
-    val broadcasts = ListBuffer.empty[Broadcast[Tiles]]
-    // State: T without Δ yet and Δ on the driver (Δ₀ = T₀).
+    // Each T with the Δ broadcast it absorbed: the next step's job serializes
+    // T's closure, and so the broadcast, once more; then `Closure.run` frees both.
+    type Placed = (RDD[Tiles], Broadcast[Tiles])
+    val placed = ListBuffer.empty[Placed]
+    def free(tb: Placed): Unit = { tb._1.unpersist(blocking = false); tb._2.destroy() }
+    // State: T without Δ yet (none before the first step) and Δ on the driver (Δ₀ = T₀).
     val (_, added) = try {
-      Closure.run((empty, t0))(_._1.unpersist(blocking = false)) { case (t, delta) =>
+      Closure.run((Option.empty[Placed], t0))(_._1.foreach(free)) { case (t, delta) =>
         val d = sc.broadcast(delta)
-        broadcasts += d
         // The step's job stores T ∪ Δ and cuts its lineage, which then stays one step deep.
-        val t2 = absorb(t, d).persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
-        cached += t2
-        val fresh = step(t2, d, grammar).collect().groupMapReduce(_._1)(_._2)(_ union _)
+        val t2 = t.fold(empty)(_._1).mapPartitionsWithIndex((p, it) => it.map(absorb(p, parts, _, d.value)))
+          .persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
+        placed += t2 -> d
+        val fresh = t2.mapPartitionsWithIndex((p, it) => it.flatMap(step(p, parts, _, d.value, grammar)))
+          .collect().groupMapReduce(_._1)(_._2)(_ union _)
         deltas += fresh
-        ((t2, fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
+        ((Some(t2 -> d), fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
       }
     } finally {
       // The last state; after a failed step, the one it started from too.
-      cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
-      broadcasts.foreach(_.destroy())
+      placed.filter(_._1.getStorageLevel != StorageLevel.NONE).foreach(free)
     }
     CFPQResult(cells(deltas), added.length, added)
   }
@@ -93,53 +98,44 @@ object SparkBlockCFPQ {
       nt -> Relation(ts.flatMap { case ((_, bi, bj), m) => m.toPacked.map(_ + Relation.pack(bi * m.numRows, bj * m.numCols)) })
     }
 
-  /** `T ∪ Δ` in place: partition `p` of `P` holds the tiles whose block row
-    * or block column is `p` modulo `P`, so a tile lives on one partition
-    * when `bi ≡ bj (mod P)` and on two otherwise. Over an empty RDD this
-    * places `delta` itself.
+  /** `T ∪ Δ` on partition `p` of `parts`, which holds the tiles whose block
+    * row or block column is `p` modulo `parts`: a tile lives on one partition
+    * when `bi ≡ bj (mod parts)` and on two otherwise. Over an empty `local`
+    * this places `delta` itself.
     */
-  private[repro] def absorb(t: RDD[(Key, BoolCSR)], delta: Broadcast[Tiles]): RDD[(Key, BoolCSR)] = {
-    val parts = t.getNumPartitions
-    t.mapPartitionsWithIndex { (p, it) =>
-      val local = it.toMap
-      val own = delta.value.iterator.filter { case ((_, bi, bj), _) => bi % parts == p || bj % parts == p }
-      (local ++ own.map { case (key, d) => key -> local.get(key).fold(d)(_ union d) }).iterator
+  private[repro] def absorb(p: Int, parts: Int, local: Tiles, delta: Tiles): Tiles =
+    local ++ delta.collect { case (key @ (_, bi, bj), d) if bi % parts == p || bj % parts == p =>
+      key -> local.get(key).fold(d)(_ union d)
     }
-  }
 
-  /** One semi-naive step over `t ⊇ Δ` placed by [[absorb]]: the non-empty
-    * tiles of `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A`, one masked kernel
-    * call per output tile of a partition. An output tile made on two
-    * partitions comes out twice; the caller unions the copies.
+  /** One semi-naive step on partition `p` of `parts`, over `local ⊇ Δ`
+    * placed by [[absorb]]: its non-empty tiles of
+    * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A`, one masked kernel call per
+    * output tile. An output tile made on two partitions comes out of both;
+    * the caller unions the copies.
     */
-  private[repro] def step(t: RDD[(Key, BoolCSR)], delta: Broadcast[Tiles], grammar: CnfGrammar): RDD[(Key, BoolCSR)] = {
-    val parts = t.getNumPartitions
-    val (byFirst, bySecond) = (grammar.byFirst, grammar.bySecond)
-    t.mapPartitionsWithIndex { (p, it) =>
-      val local = it.toMap
-      val d = delta.value
-      val dByRow = d.toSeq.groupMap { case ((nt, k, _), _) => (nt, k) } { case ((_, _, bj), m) => bj -> m }
-      val dByCol = d.toSeq.groupMap { case ((nt, _, k), _) => (nt, k) } { case ((_, bi, _), m) => bi -> m }
-      // Row terms only from the tiles of block rows ≡ p, column terms only
-      // from those of block columns ≡ p: each term is then made once, and
-      // where its output tile's mask T_A(bi, bj) is held, as the output
-      // shares the operand's block row (or column). Taken from every local
-      // tile, a tile held twice would make its terms twice, once without
-      // the mask. Where bi ≡ bj, both kinds of term meet in one call.
-      val rowTerms = for {
-        ((b, bi, k), tb) <- local.iterator if bi % parts == p
-        (a, c) <- byFirst.getOrElse(b, Nil)
-        (bj, dc) <- dByRow.getOrElse((c, k), Nil)
-      } yield (a, bi, bj) -> (tb, dc)
-      val colTerms = for {
-        ((c, k, bj), tc) <- local.iterator if bj % parts == p
-        (a, b) <- bySecond.getOrElse(c, Nil)
-        (bi, db) <- dByCol.getOrElse((b, k), Nil)
-      } yield (a, bi, bj) -> (db, tc)
-      (rowTerms ++ colTerms).toSeq.groupMap(_._1)(_._2).iterator.flatMap { case (key, ts) =>
-        val m = BoolCSR.multiplyMasked(ts, local.get(key))
-        if (m.nnz == 0) None else Some(key -> m)
-      }
+  private[repro] def step(p: Int, parts: Int, local: Tiles, delta: Tiles, grammar: CnfGrammar): Tiles = {
+    val dByRow = delta.toSeq.groupMap { case ((nt, k, _), _) => (nt, k) } { case ((_, _, bj), m) => bj -> m }
+    val dByCol = delta.toSeq.groupMap { case ((nt, _, k), _) => (nt, k) } { case ((_, bi, _), m) => bi -> m }
+    // Row terms only from the tiles of block rows ≡ p, column terms only
+    // from those of block columns ≡ p: each term is then made once, and
+    // where its output tile's mask T_A(bi, bj) is held, as the output
+    // shares the operand's block row (or column). Taken from every local
+    // tile, a tile held twice would make its terms twice, once without
+    // the mask. Where bi ≡ bj, both kinds of term meet in one call.
+    val rowTerms = for {
+      ((b, bi, k), tb) <- local.iterator if bi % parts == p
+      (a, c) <- grammar.byFirst.getOrElse(b, Nil)
+      (bj, dc) <- dByRow.getOrElse((c, k), Nil)
+    } yield (a, bi, bj) -> (tb, dc)
+    val colTerms = for {
+      ((c, k, bj), tc) <- local.iterator if bj % parts == p
+      (a, b) <- grammar.bySecond.getOrElse(c, Nil)
+      (bi, db) <- dByCol.getOrElse((b, k), Nil)
+    } yield (a, bi, bj) -> (db, tc)
+    (rowTerms ++ colTerms).toSeq.groupMap(_._1)(_._2).flatMap { case (key, ts) =>
+      val m = BoolCSR.multiplyMasked(ts, local.get(key))
+      if (m.nnz == 0) None else Some(key -> m)
     }
   }
 }

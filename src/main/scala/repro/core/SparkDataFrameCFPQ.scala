@@ -62,12 +62,13 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
 
 object SparkDataFrameCFPQ {
 
-  /** Persists `rows` and counts them (one cell each) per nonterminal in the
-    * job that fills the cache: partition counts, summed after `collect()`, no
-    * shuffle. `rows` go into `cached` first, so a failed count unpersists them.
+  /** Persists `rows`, marks them with RDD `localCheckpoint()` and counts them
+    * (one cell each) per nonterminal in the job that fills the cache and cuts
+    * their lineage: partition counts, summed after `collect()`, no shuffle.
+    * `rows` go into `cached` first, so a failed count unpersists them.
     */
   private[repro] def pin(rows: RDD[Row], cached: ListBuffer[RDD[Row]]): (RDD[Row], Map[String, Long]) = {
-    cached += rows.persist(StorageLevel.MEMORY_AND_DISK)
+    cached += rows.persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
     val counts = rows.mapPartitions(_.map(_.getString(0)).toSeq.groupMapReduce(identity)(_ => 1L)(_ + _).iterator)
     (rows, counts.collect().groupMapReduce(_._1)(_._2)(_ + _))
   }

@@ -31,11 +31,11 @@ final case class DatasetSpec(name: String,
                              paperTriples: Long,
                              paperQ1: PaperRow,
                              paperQ2: PaperRow,
-                             multiParentFrac: Double = 0.7,
-                             multiTypeFrac: Double = 0.2,
-                             typeSkew: Double = 2.0,
-                             typesPerInst: Double = 1.0,
-                             classTypeFrac: Double = 0.0) {
+                             multiParentFrac: Double,
+                             multiTypeFrac: Double,
+                             typeSkew: Double,
+                             typesPerInst: Double,
+                             classTypeFrac: Double) {
 
   /** Number of RDF triples before inverse-edge expansion. */
   def triples: Long = ((classes - 1).toLong + instances + extra) * repeatK

@@ -2,9 +2,13 @@ package repro.core
 
 import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import scala.collection.mutable.ListBuffer
 import scala.jdk.CollectionConverters._
 import scala.util.Random
 import org.apache.spark.SparkException
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.functions.broadcast
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.cfg.{CNF, Grammar, Queries}
@@ -131,6 +135,33 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     assert(rdds.drop(1).distinct.length == 1, rdds.mkString(", "))
   }
 
+  test("SparkDF's lineage does not grow with the step count: the rows pinned after every step reach as many RDDs") {
+    import spark.implicits._
+    val cached = ListBuffer.empty[RDD[Row]]
+    try {
+      val t0 = MatrixInit.cells(anbn(4), anbnCnf).toSeq
+        .flatMap { case (nt, ps) => ps.map { case (s, d) => (nt, s, d) } }.toDF("nt", "src", "dst")
+      val rules = broadcast(anbnCnf.binary.toDF("a", "b", "c"))
+      val pinned = Iterator.iterate(SparkDataFrameCFPQ.pin(t0.rdd, cached)._1) { rows =>
+        SparkDataFrameCFPQ.pin(SparkDataFrameCFPQ.step(spark.createDataset(rows)(t0.encoder), rules).rdd, cached)._1
+      }.take(6).toSeq
+      val reached = pinned.map(ancestors(_).size)
+      assert(reached.distinct.length == 1, reached.mkString(", "))
+    } finally cached.foreach(_.unpersist(blocking = false))
+  }
+
+  test("a Spark solve releases each superseded state while it runs: at most two persisted RDDs at every job start, on both Spark engines") {
+    val sc = spark.sparkContext
+    for (engine <- Seq(new SparkBlockCFPQ(spark, blockSize = 4), df)) {
+      // The last state and the one being built; every older one is released.
+      val persisted = sc.getPersistentRDDs.keySet
+      val (got, held) = observeJobs(engine.solve(anbn(4), anbnCnf))(_ => (sc.getPersistentRDDs.keySet -- persisted).size)
+      assert(got.iterations == 8 && held.nonEmpty, engine.name)
+      assert(held.max <= 2, s"${engine.name}: ${held.mkString(", ")}")
+      assert(sc.getPersistentRDDs.keySet == persisted, engine.name)
+    }
+  }
+
   test("SparkBlock finishes a 640-iteration closure (a^320 b^320) and equals SparseCSR") {
     val graph = anbn(320)
     val expect = SparseCFPQ.solve(graph, anbnCnf)
@@ -172,13 +203,18 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
 
   /** `body`'s result and the start events of the jobs it ran, in order. */
-  private def jobStarts[A](body: => A): (A, Seq[SparkListenerJobStart]) = {
+  private def jobStarts[A](body: => A): (A, Seq[SparkListenerJobStart]) = observeJobs(body)(identity)
+
+  /** `body`'s result and `seen` of each job it ran, taken when the listener
+    * gets the job's start, in order.
+    */
+  private def observeJobs[A, B](body: => A)(seen: SparkListenerJobStart => B): (A, Seq[B]) = {
     val sc = spark.sparkContext
-    val starts = new ConcurrentLinkedQueue[SparkListenerJobStart]
+    val starts = new ConcurrentLinkedQueue[B]
     val sentinelSeen = new CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = group(e) match {
-        case Some("observed") => starts.add(e)
+        case Some("observed") => starts.add(seen(e))
         case Some("sentinel") => sentinelSeen.countDown()
         case _ =>
       }
@@ -194,6 +230,9 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
       (result, starts.asScala.toSeq)
     } finally sc.removeSparkListener(listener)
   }
+
+  /** Every RDD that `rdd`'s dependencies reach, `rdd` included. */
+  private def ancestors(rdd: RDD[_]): Set[Int] = rdd.dependencies.map(d => ancestors(d.rdd)).foldLeft(Set(rdd.id))(_ ++ _)
 
   /** a^n b^n as a path graph; its closure under `S → a S b | a b` takes 2n iterations. */
   private def anbn(n: Int): LabeledGraph =

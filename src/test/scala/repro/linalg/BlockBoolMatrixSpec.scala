@@ -1,33 +1,38 @@
 package repro.linalg
 
-import org.apache.spark.rdd.RDD
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.cfg.CnfGrammar
 import repro.core.SparkBlockCFPQ._
 import scala.util.Random
 
 /** SparkBlock's block Boolean matrix: tiles, their one placement and the
   * semi-naive step over it ([[repro.core.SparkBlockCFPQ]]'s companion).
+  * `absorb` and `step` are plain functions of one partition's tile map, so
+  * these tests run them over every partition `p` without Spark.
   */
-class BlockBoolMatrixSpec extends SparkSpec {
-
-  private lazy val sc = spark.sparkContext
+class BlockBoolMatrixSpec extends AnyFunSuite {
 
   private val selfRule = Seq(("A", "A", "A")) // A -> A A: plain Boolean square
 
-  /** `tiles` placed over `parts` partitions, as a solve places `Δ₀ = T₀`. */
-  private def place(tiles: Tiles, parts: Int = 3): RDD[(Key, BoolCSR)] =
-    absorb(sc.parallelize(Seq.empty[(Key, BoolCSR)], parts), sc.broadcast(tiles))
+  /** `tiles` absorbed into empty tile maps of partitions `0 until parts`, as
+    * a solve places `Δ₀ = T₀`: partition `p`'s map at index `p`.
+    */
+  private def place(tiles: Tiles, parts: Int = 3): Seq[Tiles] =
+    (0 until parts).map(absorb(_, parts, Map.empty, tiles))
 
-  /** Global cells of an RDD of tiles; tiles sharing a key are unioned. */
-  private def gather(t: RDD[(Key, BoolCSR)]): Map[String, Set[(Int, Int)]] =
-    cells(Seq(t.collect().groupMapReduce(_._1)(_._2)(_ union _)))
+  /** Global cells of the partitions' tile maps; tiles sharing a key are unioned. */
+  private def gather(t: Seq[Tiles]): Map[String, Set[(Int, Int)]] =
+    cells(Seq(t.flatten.groupMapReduce(_._1)(_._2)(_ union _)))
+
+  /** The partial tiles of one step over `t` (which holds `delta`), per partition. */
+  private def steps(t: Seq[Tiles], delta: Tiles, g: CnfGrammar): Seq[Tiles] =
+    t.indices.map(p => step(p, t.length, t(p), delta, g))
 
   /** The cells of one step over `t` (which holds `delta`) placed over `parts` partitions. */
   private def stepCells(bs: Int, t: Map[String, Seq[(Int, Int)]], delta: Map[String, Seq[(Int, Int)]],
                         rules: Seq[(String, String, String)], parts: Int): Map[String, Set[(Int, Int)]] = {
     val g = CnfGrammar(rules, Seq(("A", "a"))) // a CnfGrammar needs a terminal rule
-    gather(step(place(tile(bs, t), parts), sc.broadcast(tile(bs, delta)), g))
+    gather(steps(place(tile(bs, t), parts), tile(bs, delta), g))
   }
 
   test("tile/cells round-trip across blocks") {
@@ -45,22 +50,23 @@ class BlockBoolMatrixSpec extends SparkSpec {
     val tiles = tile(4, Map("A" -> Seq((0, 0), (7, 7), (0, 0)), "B" -> Seq((1, 1))))
     assert(nnz(tiles) == 3) // duplicate deduped
     // Every tile is on the diagonal (bi = bj), so each is placed once.
-    assert(place(tiles, parts = 2).map(_._2.nnz.toLong).sum() == 3)
+    assert(place(tiles, parts = 2).flatMap(_.values).map(_.nnz.toLong).sum == 3)
   }
 
   test("nnz of an empty dataset is zero") {
     val tiles = tile(4, Map.empty[String, Seq[(Int, Int)]])
     assert(tiles.isEmpty && nnz(tiles) == 0)
-    assert(place(tiles).count() == 0)
+    assert(place(tiles).forall(_.isEmpty))
   }
 
   test("placement puts each tile on its block row or block column modulo the partition count") {
     val tiles = tile(2, Map("A" -> (0 until 12).flatMap(i => Seq((i, (i * 5) % 12), (i, 11 - i)))))
     for (parts <- 1 to 3) {
       val placed = place(tiles, parts)
-      assert(placed.getNumPartitions == parts)
-      val where = placed.mapPartitionsWithIndex((p, it) => it.map { case (key, _) => (key, p) }).collect()
-      assert(where.length == where.distinct.length, s"P=$parts: a key twice on one partition")
+      val where = for ((local, p) <- placed.zipWithIndex; (key, m) <- local) yield {
+        assert(m == tiles(key), s"P=$parts: $key changed on partition $p")
+        (key, p)
+      }
       val byKey = where.groupMap(_._1)(_._2)
       assert(byKey.keySet == tiles.keySet, s"P=$parts")
       byKey.foreach { case (key @ (_, bi, bj), ps) =>
@@ -110,13 +116,10 @@ class BlockBoolMatrixSpec extends SparkSpec {
   test("union merges per-nonterminal matrices") {
     val a = place(tile(4, Map("A" -> Seq((0, 0)))), parts = 2)
     val delta = tile(4, Map("A" -> Seq((0, 1), (7, 1)), "B" -> Seq((3, 3))))
-    val merged = absorb(a, sc.broadcast(delta))
-    // T absorbs Δ where it lies: the partition count never changes.
-    assert(merged.getNumPartitions == 2)
-    // One tile per key and partition: A(0,0) and B(0,0) on partition 0,
-    // A(1,0) on partitions 1 and 0.
-    assert(merged.glom().map(_.map(_._1).toSeq).collect().map(_.sorted).toSeq ==
-      Seq(Seq(("A", 0, 0), ("A", 1, 0), ("B", 0, 0)), Seq(("A", 1, 0))))
+    val merged = a.indices.map(p => absorb(p, 2, a(p), delta))
+    // T absorbs Δ where it lies: A(0,0) and B(0,0) on partition 0, A(1,0)
+    // on partitions 1 and 0.
+    assert(merged.map(_.keys.toSeq.sorted) == Seq(Seq(("A", 0, 0), ("A", 1, 0), ("B", 0, 0)), Seq(("A", 1, 0))))
     assert(gather(merged) == Map("A" -> Set((0, 0), (0, 1), (7, 1)), "B" -> Set((3, 3))))
   }
 
@@ -125,7 +128,7 @@ class BlockBoolMatrixSpec extends SparkSpec {
     // is empty; an emitted empty tile would show as an empty relation.
     val t = tile(4, Map("A" -> Seq((0, 1), (2, 3))))
     val g = CnfGrammar(selfRule, Seq(("A", "a")))
-    for (parts <- 1 to 3) assert(step(place(t, parts), sc.broadcast(t), g).count() == 0, s"P=$parts")
+    for (parts <- 1 to 3) assert(steps(place(t, parts), t, g).forall(_.isEmpty), s"P=$parts")
   }
 
   for (i <- 0 until 8) {
