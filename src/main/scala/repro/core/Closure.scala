@@ -2,6 +2,7 @@ package repro.core
 
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
+import repro.linalg.BoolCSR
 import scala.annotation.tailrec
 
 /** The fixpoint loop of Algorithm 1 (lines 8–9): `T ← T ∪ (T·T)` until `T`
@@ -47,34 +48,40 @@ object Closure {
   * `(T ∪ Δ)·(T ∪ Δ)` adds to `T ∪ Δ` exactly what `Δ·(T ∪ Δ) ∪ (T ∪ Δ)·Δ`
   * adds. So the iteration count is the naive one, and a step reports
   * `|Δ'_A|` as what it added to `A` (`Δ'` empty ⇔ no change). Engines
-  * supply only the kernel.
+  * supply only the kernel and the two representations: `M` for `T`, `D`
+  * for `Δ` and `Δ'`.
   */
-abstract class LocalMatrixCFPQ[M] extends CFPQEngine {
+abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
 
-  protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): M
+  /** `T₀_A` and `Δ₀_A`, both holding the cells of `m`. */
+  protected def init(m: BoolCSR): (M, D)
 
-  /** `(⋃_{(a, b) ∈ terms} a × b) ∖ mask`: the product cells not in `mask`. */
-  protected def multiplyMasked(terms: Seq[(M, M)], mask: M): M
+  /** `(⋃_{(δ, t) ∈ left} δ × t ∪ ⋃_{(t, δ) ∈ right} t × δ) ∖ mask`: the product cells not in `mask`. */
+  protected def multiplyMasked(left: Seq[(D, M)], right: Seq[(M, D)], mask: M): D
 
-  /** `a ∪ b`; it may update `a` in place and return it. */
-  protected def union(a: M, b: M): M
+  /** `a ∪ d`; it may update `a` in place and return it. */
+  protected def union(a: M, d: D): M
   protected def cells(m: M): Long
+  protected def deltaCells(d: D): Long
   /** The cells of `m` as sorted, distinct [[Relation]] cells. */
   protected def toPacked(m: M): Array[Long]
 
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val n = math.max(graph.numNodes, 1)
-    val init = MatrixInit.cells(graph, grammar)
-    val t0 = grammar.nonterminals.iterator.map(nt => nt -> fromPairs(n, init.getOrElse(nt, Seq.empty))).toMap
+    val cellsByNt = MatrixInit.cells(graph, grammar)
+    val t0 = grammar.nonterminals.iterator
+      .map(nt => nt -> init(BoolCSR.fromPairs(n, n, cellsByNt.getOrElse(nt, Seq.empty)))).toMap
     val rulesByLhs = grammar.binary.groupBy(_._1)
     // State: T and the non-empty Δs (an absent Δ is empty).
-    val ((t, _), added) = Closure.run((t0, t0.filter { case (_, m) => cells(m) > 0 }))() { case (t, delta) =>
+    val start = (t0.map { case (nt, (m, _)) => nt -> m }, t0.collect { case (nt, (_, d)) if deltaCells(d) > 0 => nt -> d })
+    val ((t, _), added) = Closure.run(start)() { case (t, delta) =>
       val fresh = for {
         (a, rules) <- rulesByLhs.toSeq
-        terms = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) ++ delta.get(c).map(t(b) -> _) }
-        if terms.nonEmpty
-        d = multiplyMasked(terms, t(a))
-        n = cells(d) if n > 0
+        left = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) }
+        right = rules.flatMap { case (_, b, c) => delta.get(c).map(t(b) -> _) }
+        if left.nonEmpty || right.nonEmpty
+        d = multiplyMasked(left, right, t(a))
+        n = deltaCells(d) if n > 0
       } yield (a, d, n)
       ((t ++ fresh.map { case (a, d, _) => a -> union(t(a), d) }, fresh.map { case (a, d, _) => a -> d }.toMap),
         fresh.map { case (a, _, n) => a -> n }.toMap)

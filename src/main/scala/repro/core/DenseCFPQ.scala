@@ -2,27 +2,31 @@ package repro.core
 
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
-import repro.linalg.BitMatrix
+import repro.linalg.{BitMatrix, BoolCSR}
+import repro.linalg.BitMatrix.Delta
 
 /** Algorithm 1 over *dense* Boolean matrices — the paper's **dGPU**
   * analog (row-major dense representation; CUBLAS on a GTX 1070 in the
-  * paper, 64-way bit-parallel CPU words here). Unions are OR-ed in place,
-  * so a closure step copies no matrix.
+  * paper, 64-way bit-parallel CPU words here).
   *
-  * Dense multiply is Θ(n³/64) per nonterminal pair regardless of sparsity,
-  * so this engine degrades sharply with graph size — the reproduction of
-  * the paper's observation that dGPU had to be omitted on g1–g3.
+  * Each `T_A` is a dense [[BitMatrix]] of n²/8 bytes, so memory grows as n²
+  * whatever the sparsity — the reproduction of the paper's observation
+  * that dGPU had to be omitted on g1–g3. A closure step only touches `Δ`:
+  * `Δ` and `Δ'` are [[BitMatrix.Delta]]s that hold each non-empty row as
+  * words or as columns, [[BitMatrix.multiplyMasked]] ORs a row of `T` into
+  * a one-row accumulator per cell of `Δ` (64 cells per word operation), and
+  * `T_A ∪ Δ'_A` writes only `Δ'_A`'s rows. A step allocates no n×n matrix.
   */
-object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix] {
+object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix, Delta] {
   override val name = "Dense"
 
   /** Fails fast, before allocating, when the closure's matrices cannot fit
-    * in the heap: one `T` per nonterminal and, during a step, the old and
-    * the new `Δ` of every left-hand side, n²/8 bytes each.
+    * in the heap: one `T` per nonterminal, n²/8 bytes each (`Δ` and `Δ'`
+    * take space in proportion to their cells).
     */
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val n = math.max(graph.numNodes, 1).toLong
-    val matrices = grammar.nonterminals.size + 2 * grammar.binary.map(_._1).distinct.size
+    val matrices = grammar.nonterminals.size
     val bytes = BigInt(matrices) * n * ((n + 63) / 64) * 8
     val heap = Runtime.getRuntime.maxMemory
     require(bytes <= heap,
@@ -30,10 +34,16 @@ object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix] {
     super.solve(graph, grammar)
   }
 
-  protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): BitMatrix = BitMatrix.fromPairs(n, pairs)
-  protected def multiplyMasked(terms: Seq[(BitMatrix, BitMatrix)], mask: BitMatrix): BitMatrix =
-    BitMatrix.multiplyMasked(terms, Some(mask))
-  protected def union(a: BitMatrix, b: BitMatrix): BitMatrix = { a.orInPlace(b); a }
+  protected def init(m: BoolCSR): (BitMatrix, Delta) = {
+    val d = Delta(m)
+    val t = new BitMatrix(m.numRows)
+    t.orInPlace(d)
+    (t, d)
+  }
+  protected def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta =
+    BitMatrix.multiplyMasked(left, right, mask)
+  protected def union(a: BitMatrix, d: Delta): BitMatrix = { a.orInPlace(d); a }
   protected def cells(m: BitMatrix): Long = m.cardinality
+  protected def deltaCells(d: Delta): Long = d.cells
   protected def toPacked(m: BitMatrix): Array[Long] = m.toPacked
 }

@@ -6,17 +6,19 @@ import repro.linalg.BoolCSR
   * paper's **sCPU** analog (Math.NET CSR in the paper, our own
   * [[repro.linalg.BoolCSR]] here).
   *
-  * Identical iteration structure to [[DenseCFPQ]]; only the matrix kernel
-  * differs: SpGEMM cost is proportional to the number of set cells, so
-  * this engine scales with the actual relation density.
+  * Identical iteration structure to [[DenseCFPQ]]; only the matrices and
+  * the kernel differ: `T` and `Δ` are both CSR, and SpGEMM cost is
+  * proportional to the number of set cells, so this engine scales with the
+  * actual relation density.
   */
-object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR] {
+object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR, BoolCSR] {
   override val name = "SparseCSR"
 
-  protected def fromPairs(n: Int, pairs: Seq[(Int, Int)]): BoolCSR = BoolCSR.fromPairs(n, n, pairs)
-  protected def multiplyMasked(terms: Seq[(BoolCSR, BoolCSR)], mask: BoolCSR): BoolCSR =
-    BoolCSR.multiplyMasked(terms, Some(mask))
-  protected def union(a: BoolCSR, b: BoolCSR): BoolCSR = a.union(b)
+  protected def init(m: BoolCSR): (BoolCSR, BoolCSR) = (m, m)
+  protected def multiplyMasked(left: Seq[(BoolCSR, BoolCSR)], right: Seq[(BoolCSR, BoolCSR)], mask: BoolCSR): BoolCSR =
+    BoolCSR.multiplyMasked(left ++ right, Some(mask))
+  protected def union(a: BoolCSR, d: BoolCSR): BoolCSR = a.union(d)
   protected def cells(m: BoolCSR): Long = m.nnz.toLong
+  protected def deltaCells(d: BoolCSR): Long = d.nnz.toLong
   protected def toPacked(m: BoolCSR): Array[Long] = m.toPacked
 }

@@ -4,9 +4,11 @@ import repro.core.Relation
 
 /** Mutable dense Boolean matrix, rows packed into 64-bit words — the local
   * analog of the paper's row-major dense matrices (dGPU/CUBLAS): every cell
-  * is materialized, and the multiply cost is Θ(n³/64) regardless of
-  * sparsity, which is exactly why the dense variant degrades on larger
-  * graphs (the paper omits dGPU on g1–g3 for the same reason).
+  * is materialized, n²/8 bytes whatever the sparsity, which is exactly why
+  * the dense variant degrades on larger graphs (the paper omits dGPU on
+  * g1–g3 for the same reason). Every write keeps the number of set cells
+  * exact and a row-occupancy bitmap, so `cardinality` takes no pass and
+  * empty rows are skipped unread.
   *
   * @param n matrix dimension (square, n×n)
   */
@@ -15,69 +17,105 @@ final class BitMatrix(val n: Int) extends Serializable {
   require(n >= 0 && n.toLong * wordsPerRow <= Int.MaxValue,
     s"a ${n}x$n BitMatrix needs ${n.toLong * wordsPerRow} words, more than one array holds (${Int.MaxValue})")
   private val bits = new Array[Long](n * wordsPerRow)
-  private var count = 0L // number of set cells; -1 once a write has made it unknown
+  private val rowOcc = new Array[Long](wordsPerRow) // bit i set iff row i holds a cell
+  private var count = 0L
+
+  private def occupy(i: Int): Unit = rowOcc(i >>> 6) |= 1L << (i & 63)
+  private def occupied(i: Int): Boolean = (rowOcc(i >>> 6) & (1L << (i & 63))) != 0
 
   def apply(i: Int, j: Int): Boolean =
     (bits(i * wordsPerRow + (j >>> 6)) & (1L << (j & 63))) != 0
 
   def set(i: Int, j: Int): Unit = {
-    bits(i * wordsPerRow + (j >>> 6)) |= (1L << (j & 63))
-    count = -1
+    require(i >= 0 && i < n && j >= 0 && j < n, s"cell ($i,$j) out of ${n}x$n")
+    val w = i * wordsPerRow + (j >>> 6)
+    val bit = 1L << (j & 63)
+    if ((bits(w) & bit) == 0) { bits(w) |= bit; count += 1; occupy(i) }
   }
 
-  /** Number of set cells; the masked kernel's result knows it already. */
-  def cardinality: Long = {
-    if (count < 0) {
-      var s = 0L; var w = 0
-      while (w < bits.length) { s += java.lang.Long.bitCount(bits(w)); w += 1 }
-      count = s
-    }
-    count
-  }
+  /** Number of set cells. */
+  def cardinality: Long = count
 
   /** In-place OR: this |= that. Returns true iff any bit changed. */
   def orInPlace(that: BitMatrix): Boolean = {
     require(n == that.n)
-    var changed = false
+    val before = count
     var w = 0
     while (w < bits.length) {
-      val nw = bits(w) | that.bits(w)
-      if (nw != bits(w)) { bits(w) = nw; changed = true }
+      val add = that.bits(w) & ~bits(w)
+      if (add != 0) { bits(w) |= add; count += java.lang.Long.bitCount(add); occupy(w / wordsPerRow) }
       w += 1
     }
-    if (changed) count = -1
-    changed
+    count != before
+  }
+
+  /** In-place OR of a [[BitMatrix.Delta]]: writes only `d`'s rows, a word
+    * row word by word and a column row cell by cell, and counts the cells
+    * that were not set before.
+    */
+  def orInPlace(d: BitMatrix.Delta): Unit = {
+    require(n == d.n, s"dim mismatch: ${d.n}x${d.n} into ${n}x$n")
+    var r = 0
+    while (r < d.size) {
+      occupy(d.rows(r))
+      val base = d.rows(r) * wordsPerRow
+      val s = d.ptr(r); val e = d.ptr(r + 1)
+      if (e - s == wordsPerRow) {
+        var w = 0
+        while (w < wordsPerRow) {
+          val add = d.data(s + w) & ~bits(base + w)
+          if (add != 0) { bits(base + w) |= add; count += java.lang.Long.bitCount(add) }
+          w += 1
+        }
+      } else {
+        var q = s
+        while (q < e) {
+          val j = d.data(q).toInt
+          val w = base + (j >>> 6); val bit = 1L << (j & 63)
+          if ((bits(w) & bit) == 0) { bits(w) |= bit; count += 1 }
+          q += 1
+        }
+      }
+      r += 1
+    }
   }
 
   /** Dense Boolean product `this × that`: [[BitMatrix.multiplyMasked]] with
-    * one term and no mask.
+    * `this` as the one left term and an empty mask.
     */
-  def multiply(that: BitMatrix): BitMatrix = BitMatrix.multiplyMasked(Seq(this -> that), None)
+  def multiply(that: BitMatrix): BitMatrix = {
+    val out = new BitMatrix(n)
+    // `out` is still empty while the kernel runs, so it serves as the empty mask.
+    out.orInPlace(BitMatrix.multiplyMasked(Seq(BitMatrix.Delta(this) -> that), Seq.empty, out))
+    out
+  }
 
-  /** All set cells as packed [[Relation]] cells, row-major ascending. */
+  /** All set cells as packed [[Relation]] cells, row-major ascending; empty rows are skipped unread. */
   def toPacked: Array[Long] = {
-    val out = new Array[Long](Math.toIntExact(cardinality))
-    var c = 0; var w = 0
-    while (w < bits.length) {
-      var word = bits(w)
-      while (word != 0) {
-        out(c) = Relation.pack(w / wordsPerRow, ((w % wordsPerRow) << 6) + java.lang.Long.numberOfTrailingZeros(word))
-        word &= word - 1; c += 1
+    val out = new Array[Long](Math.toIntExact(count))
+    var c = 0; var ow = 0
+    while (ow < rowOcc.length) {
+      var occupied = rowOcc(ow)
+      while (occupied != 0) {
+        val i = (ow << 6) + java.lang.Long.numberOfTrailingZeros(occupied)
+        occupied &= occupied - 1
+        var w = 0
+        while (w < wordsPerRow) {
+          var word = bits(i * wordsPerRow + w)
+          while (word != 0) {
+            out(c) = Relation.pack(i, (w << 6) + java.lang.Long.numberOfTrailingZeros(word))
+            word &= word - 1; c += 1
+          }
+          w += 1
+        }
       }
-      w += 1
+      ow += 1
     }
     out
   }
 
   /** All set cells as (row, col) pairs, row-major ascending. */
   def toPairs: Vector[(Int, Int)] = toPacked.iterator.map(Relation.unpack).toVector
-
-  private def rowEmpty(i: Int): Boolean = {
-    var w = i * wordsPerRow
-    val end = w + wordsPerRow
-    while (w < end && bits(w) == 0) w += 1
-    w == end
-  }
 }
 
 object BitMatrix {
@@ -87,45 +125,208 @@ object BitMatrix {
     m
   }
 
-  /** Complement-masked sum of products, `C⟨¬mask⟩ = ⋃_{(a, b) ∈ terms} a × b`:
-    * for every set (i, k) of a term's `a`, OR row k of its `b` into row i,
-    * 64 cells per word operation; then clear the mask's cells from the row,
-    * one `andNot` per word, counting the cells left. Empty rows of `b` are
-    * not OR-ed, and a row that received nothing is not masked.
+  /** An immutable n×n Boolean matrix that stores only its non-empty rows,
+    * each in the cheaper of two forms: a row with at least `wordsPerRow`
+    * cells as its `wordsPerRow` words, any other as its ascending columns,
+    * one word each. So a `Delta` never needs more words than it has cells
+    * (plus an index of n/64 words), and a row's form is told by its length.
+    * This is the bitmap-versus-sparse choice of SuiteSparse:GraphBLAS
+    * (Davis, "Algorithm 1000", TOMS 2019) made per row.
+    *
+    * @param size  the number of non-empty rows
+    * @param rows  the non-empty rows, ascending, in `rows(0 until size)`
+    * @param ptr   row `rows(r)` occupies `data(ptr(r) until ptr(r + 1))`
+    * @param occ   row-occupancy bitmap: bit `i` set iff row `i` is non-empty
+    * @param rank  `rank(w)`: the non-empty rows before row `64 w`
+    * @param cells number of set cells
     */
-  def multiplyMasked(terms: Seq[(BitMatrix, BitMatrix)], mask: Option[BitMatrix]): BitMatrix = {
-    require(terms.nonEmpty, "multiplyMasked needs at least one term")
-    val n = terms.head._1.n
-    require(terms.forall { case (a, b) => a.n == n && b.n == n } && mask.forall(_.n == n),
+  final class Delta private[linalg] (val n: Int, private[linalg] val size: Int, private[linalg] val rows: Array[Int],
+                                     private[linalg] val ptr: Array[Int], private[linalg] val data: Array[Long],
+                                     private[linalg] val occ: Array[Long], rank: Array[Int],
+                                     val cells: Long) {
+
+    /** The index in `rows` of row `i`, which must be non-empty. */
+    private[linalg] def position(i: Int): Int =
+      rank(i >>> 6) + java.lang.Long.bitCount(occ(i >>> 6) & ((1L << (i & 63)) - 1))
+  }
+
+  object Delta {
+
+    /** The cells of `m`, which must be square. */
+    def apply(m: BoolCSR): Delta = {
+      require(m.numRows == m.numCols, s"a Delta is square, not ${m.numRows}x${m.numCols}")
+      val out = new DeltaWriter(m.numRows)
+      var i = 0
+      while (i < m.numRows) {
+        out.columns(i, m.colIdx, m.rowPtr(i), m.rowPtr(i + 1))
+        i += 1
+      }
+      out.result()
+    }
+
+    /** The cells of `m`. */
+    def apply(m: BitMatrix): Delta = {
+      val out = new DeltaWriter(m.n)
+      val row = new Array[Long](m.wordsPerRow)
+      var i = 0
+      while (i < m.n) {
+        var c = 0; var w = 0
+        while (w < m.wordsPerRow) { row(w) = m.bits(i * m.wordsPerRow + w); c += java.lang.Long.bitCount(row(w)); w += 1 }
+        out.words(i, row, c)
+        i += 1
+      }
+      out.result()
+    }
+  }
+
+  /** Writes a [[Delta]] row by row, in ascending row order. Its arrays
+    * grow by doubling and are handed over untrimmed.
+    */
+  private final class DeltaWriter(n: Int) {
+    private val wpr = (n + 63) >>> 6
+    private var rows = new Array[Int](16)
+    private var ptr = new Array[Int](17)
+    private var data = new Array[Long](64)
+    private val occ = new Array[Long](wpr)
+    private var size = 0 // rows so far
+    private var end = 0 // data's length so far
+    private var cells = 0L
+
+    /** Makes room for row `i` of `c` cells taking `len` words of `data`. */
+    private def add(i: Int, c: Int, len: Int): Unit = {
+      if (size == rows.length) {
+        rows = java.util.Arrays.copyOf(rows, 2 * size)
+        ptr = java.util.Arrays.copyOf(ptr, 2 * size + 1)
+      }
+      if (end + len > data.length) data = java.util.Arrays.copyOf(data, math.max(2 * data.length, end + len))
+      rows(size) = i
+      size += 1
+      ptr(size) = end + len
+      occ(i >>> 6) |= 1L << (i & 63)
+      cells += c
+    }
+
+    /** Row `i` given as its words, `c` cells; an empty row is skipped. */
+    def words(i: Int, row: Array[Long], c: Int): Unit = if (c > 0) {
+      if (c >= wpr) {
+        add(i, c, wpr)
+        System.arraycopy(row, 0, data, end, wpr)
+      } else {
+        add(i, c, c)
+        var q = end; var w = 0
+        while (w < wpr) {
+          var word = row(w)
+          while (word != 0) {
+            data(q) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
+            word &= word - 1; q += 1
+          }
+          w += 1
+        }
+      }
+      end = ptr(size)
+    }
+
+    /** Row `i` given as the ascending, distinct columns `cols(from until until)`. */
+    def columns(i: Int, cols: Array[Int], from: Int, until: Int): Unit = if (until > from) {
+      val c = until - from
+      if (c >= wpr) {
+        add(i, c, wpr)
+        var q = from // `data` past `end` is still zero
+        while (q < until) { data(end + (cols(q) >>> 6)) |= 1L << (cols(q) & 63); q += 1 }
+      } else {
+        add(i, c, c)
+        var q = from
+        while (q < until) { data(end + q - from) = cols(q); q += 1 }
+      }
+      end = ptr(size)
+    }
+
+    def result(): Delta = {
+      val rank = new Array[Int](wpr)
+      var w = 1
+      while (w < wpr) { rank(w) = rank(w - 1) + java.lang.Long.bitCount(occ(w - 1)); w += 1 }
+      new Delta(n, size, rows, ptr, data, occ, rank, cells)
+    }
+  }
+
+  /** The closure step's kernel, `Δ' = (⋃ Δ_B × T_C ∪ ⋃ T_B × Δ_C) ∖ mask`,
+    * built one dense accumulator row at a time:
+    *  - a left term `(Δ_B, T_C)` ORs row k of `T_C` into the row for each
+    *    cell k of `Δ_B`'s row, 64 cells per word operation;
+    *  - a right term `(T_B, Δ_C)` ANDs `T_B`'s row words with `Δ_C`'s
+    *    row-occupancy bitmap, and for each k left ORs in (word form) or sets
+    *    (column form) row k of `Δ_C`.
+    * Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned. A row
+    * that received something is then cleared of the mask's cells, one
+    * `andNot` per word, and emitted in its cheaper form; a row that received
+    * nothing is skipped without touching its words. The kernel allocates no
+    * n×n matrix: its working space is one row.
+    */
+  def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta = {
+    val n = mask.n
+    require(left.forall { case (d, m) => d.n == n && m.n == n } && right.forall { case (m, d) => m.n == n && d.n == n },
       s"dim mismatch in a ${n}x$n sum")
-    val out = new BitMatrix(n)
-    val wpr = out.wordsPerRow
-    val as = terms.map(_._1).toArray
-    val bs = terms.map(_._2).toArray
-    // Per right operand, per row: 0 not looked at yet, 1 empty, 2 holds a cell.
-    val rowStates = bs.distinct.map(b => b -> new Array[Byte](n)).toMap
-    val bRows = bs.map(rowStates)
-    val m = mask.orNull
-    var cells = 0L
+    val wpr = mask.wordsPerRow
+    val ls = left.map(_._1).toArray
+    val lt = left.map(_._2).toArray
+    val rt = right.map(_._1).toArray
+    val rs = right.map(_._2).toArray
+    val next = new Array[Int](ls.length) // per left term: the index of its next row in `rows`
+    val acc = new Array[Long](wpr)
+    val out = new DeltaWriter(n)
+
+    // OR row k of `m` into the accumulator unless it is empty; true iff it was not.
+    def orRow(m: BitMatrix, k: Int): Boolean = m.occupied(k) && {
+      val src = k * wpr
+      var w = 0
+      while (w < wpr) { acc(w) |= m.bits(src + w); w += 1 }
+      true
+    }
+
     var i = 0
     while (i < n) {
-      val rowBase = i * wpr
       var wrote = false
       var t = 0
-      while (t < as.length) {
-        val a = as(t).bits; val b = bs(t); val bRow = bRows(t)
-        var kw = 0
+      while (t < ls.length) {
+        val d = ls(t); val r = next(t)
+        if (r < d.size && d.rows(r) == i) {
+          next(t) = r + 1
+          val s = d.ptr(r); val e = d.ptr(r + 1)
+          if (e - s == wpr) {
+            var kw = 0
+            while (kw < wpr) {
+              var word = d.data(s + kw)
+              while (word != 0) {
+                if (orRow(lt(t), (kw << 6) + java.lang.Long.numberOfTrailingZeros(word))) wrote = true
+                word &= word - 1
+              }
+              kw += 1
+            }
+          } else {
+            var q = s
+            while (q < e) { if (orRow(lt(t), d.data(q).toInt)) wrote = true; q += 1 }
+          }
+        }
+        t += 1
+      }
+      t = 0
+      while (t < rt.length) {
+        val b = rt(t).bits; val d = rs(t)
+        val base = i * wpr
+        var kw = if (rt(t).occupied(i)) 0 else wpr // an empty row of T_B meets no row of Δ_C
         while (kw < wpr) {
-          var word = a(rowBase + kw)
+          var word = b(base + kw) & d.occ(kw)
           while (word != 0) {
-            val k = (kw << 6) + java.lang.Long.numberOfTrailingZeros(word)
+            val r = d.position((kw << 6) + java.lang.Long.numberOfTrailingZeros(word))
             word &= word - 1
-            if (bRow(k) == 0) bRow(k) = if (b.rowEmpty(k)) 1 else 2
-            if (bRow(k) == 2) {
-              wrote = true
-              val src = k * wpr
+            wrote = true
+            val s = d.ptr(r); val e = d.ptr(r + 1)
+            if (e - s == wpr) {
               var w = 0
-              while (w < wpr) { out.bits(rowBase + w) |= b.bits(src + w); w += 1 }
+              while (w < wpr) { acc(w) |= d.data(s + w); w += 1 }
+            } else {
+              var q = s
+              while (q < e) { val j = d.data(q).toInt; acc(j >>> 6) |= 1L << (j & 63); q += 1 }
             }
           }
           kw += 1
@@ -133,16 +334,15 @@ object BitMatrix {
         t += 1
       }
       if (wrote) {
+        val base = i * wpr
         var w = 0
-        while (w < wpr) {
-          if (m != null) out.bits(rowBase + w) &= ~m.bits(rowBase + w)
-          cells += java.lang.Long.bitCount(out.bits(rowBase + w))
-          w += 1
-        }
+        var c = 0
+        while (w < wpr) { acc(w) &= ~mask.bits(base + w); c += java.lang.Long.bitCount(acc(w)); w += 1 }
+        out.words(i, acc, c)
+        java.util.Arrays.fill(acc, 0L)
       }
       i += 1
     }
-    out.count = cells
-    out
+    out.result()
   }
 }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.baseline.{GllCFPQ, HellingsCFPQ}
 import repro.cfg.{CnfGrammar, CNF, Grammar, Queries}
+import repro.data.Datasets
 import repro.graph.LabeledGraph
 
 /** Test fixtures shared by the equivalence suites. */
@@ -74,6 +75,16 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     assert(SparseCFPQ.solve(graph, cnf).iterations == naive)
   }
 
+  test("Dense equals SparseCSR in relations, iterations and growth at the benchmark's shape (funding/Q1; g3/Q2: 4,480 nodes, 70 words per row)") {
+    for ((dataset, cnf) <- Seq((Datasets.funding, Queries.q1CnfPaper), (Datasets.g3, Queries.q2Cnf))) {
+      val graph = dataset.graph
+      val (dense, sparse) = (DenseCFPQ.solve(graph, cnf), SparseCFPQ.solve(graph, cnf))
+      assert(dense == sparse && dense.added == sparse.added, dataset.name)
+      assert(dense.iterations == (if (dataset eq Datasets.g3) 10 else 12), dataset.name)
+    }
+    assert(Datasets.g3.graph.numNodes == 4480)
+  }
+
   test("no binary rules: one iteration, exactly the initial cells, on every local matrix engine") {
     for (i <- 0 until 4) {
       val graph = randomGraph(new Random(31 + i), Seq("a", "b", "x"))
@@ -96,8 +107,8 @@ class EngineEquivalenceSpec extends AnyFunSuite {
   test("Dense fails fast, naming both sizes, when its matrices cannot fit in the heap") {
     val graph = LabeledGraph(2000000, Vector((0, "a", 1)))
     val cnf = CnfGrammar(binary = Seq(("S", "A", "S"), ("S", "A", "A")), term = Seq(("A", "a")))
-    // T_S and T_A, plus the old and the new Δ_S: 4 matrices of 2,000,000 rows × 31,250 words.
-    val bytes = 4L * 2000000L * 31250L * 8L
+    // T_S and T_A: 2 matrices of 2,000,000 rows × 31,250 words.
+    val bytes = 2L * 2000000L * 31250L * 8L
     val e = intercept[IllegalArgumentException](DenseCFPQ.solve(graph, cnf))
     assert(e.getMessage.contains(s"$bytes bytes"), e.getMessage)
     assert(e.getMessage.contains(s"${Runtime.getRuntime.maxMemory}-byte heap"), e.getMessage)

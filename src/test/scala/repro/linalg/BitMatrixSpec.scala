@@ -50,21 +50,46 @@ class BitMatrixSpec extends AnyFunSuite {
     }
   }
 
+  /** The cells of `d`, row-major ascending. */
+  private def pairs(d: BitMatrix.Delta): Vector[(Int, Int)] = { val m = new BitMatrix(d.n); m.orInPlace(d); m.toPairs }
+  private def delta(n: Int, cells: Seq[(Int, Int)]) = BitMatrix.Delta(BoolCSR.fromPairs(n, n, cells))
+
   test("multiplyMasked sums the terms' products and leaves out the mask's cells") {
-    val a = BitMatrix.fromPairs(70, Seq((0, 1), (2, 69)))
+    val a = delta(70, Seq((0, 1), (2, 69)))
     val b = BitMatrix.fromPairs(70, Seq((1, 5), (1, 66), (69, 3)))
     val c = BitMatrix.fromPairs(70, Seq((0, 2)))
-    val d = BitMatrix.fromPairs(70, Seq((2, 7)))
+    val d = delta(70, Seq((2, 7)))
     val mask = BitMatrix.fromPairs(70, Seq((0, 66), (2, 3)))
-    val p = BitMatrix.multiplyMasked(Seq(a -> b, c -> d), Some(mask))
-    assert(p.toPairs == Vector((0, 5), (0, 7)))
-    // The kernel counts its cells; later writes keep the count right.
-    assert(p.cardinality == 2)
-    p.set(69, 69)
-    assert(p.cardinality == 3)
-    assert(p.orInPlace(mask) && p.cardinality == 5)
-    assert(BitMatrix.multiplyMasked(Seq(a -> b, c -> d), None).toPairs == Vector((0, 5), (0, 7), (0, 66), (2, 3)))
-    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq(a -> new BitMatrix(3)), None))
+    val p = BitMatrix.multiplyMasked(Seq(a -> b), Seq(c -> d), mask)
+    assert(pairs(p) == Vector((0, 5), (0, 7)) && p.cells == 2)
+    assert(pairs(BitMatrix.multiplyMasked(Seq(a -> b), Seq(c -> d), new BitMatrix(70))) == Vector((0, 5), (0, 7), (0, 66), (2, 3)))
+    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq(a -> new BitMatrix(3)), Seq.empty, mask))
+    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq.empty, Seq(c -> delta(3, Seq.empty)), mask))
+  }
+
+  test("orInPlace(Delta) writes the Delta's rows in both forms and keeps cardinality exact") {
+    // Row 0 has 2 cells of 2 words per row (word form), row 1 one cell (column form).
+    val d = delta(70, Seq((0, 3), (0, 68), (1, 69)))
+    assert(MaskedKernelPropertySpec.rowForms(d) == (1, 1) && d.cells == 3)
+    val m = BitMatrix.fromPairs(70, Seq((0, 3), (5, 5)))
+    m.orInPlace(d)
+    assert(m.toPairs == Vector((0, 3), (0, 68), (1, 69), (5, 5)))
+    assert(m.cardinality == 4) // (0, 3) was set already
+    m.orInPlace(d)
+    assert(m.cardinality == 4)
+    assert(m.orInPlace(BitMatrix.fromPairs(70, Seq((0, 3), (6, 6)))) && m.cardinality == 5)
+    m.set(6, 6)
+    assert(m.cardinality == 5)
+    assertThrows[IllegalArgumentException](m.orInPlace(delta(3, Seq.empty)))
+  }
+
+  test("set rejects a cell outside n x n instead of setting another or a padding bit") {
+    // (0, 130) would land on (1, 2) and (0, 100) on a padding bit of row 0.
+    for ((i, j) <- Seq((0, 130), (0, 100), (0, 70), (70, 0), (-1, 0), (0, -1))) {
+      val e = intercept[IllegalArgumentException](BitMatrix.fromPairs(70, Seq((i, j))))
+      assert(e.getMessage.contains(s"($i,$j) out of 70x70"), e.getMessage)
+    }
+    assert(BitMatrix.fromPairs(70, Seq((69, 69))).toPairs == Vector((69, 69)))
   }
 
   for (i <- 0 until 15) {
