@@ -16,21 +16,26 @@ import repro.linalg.BitMatrix.Delta
   * words or as columns, [[BitMatrix.multiplyMasked]] ORs a row of `T` into
   * a one-row accumulator per cell of `Δ` (64 cells per word operation), and
   * `T_A ∪ Δ'_A` writes only `Δ'_A`'s rows. A step allocates no n×n matrix.
+  * Each `T` keeps a bitmap of every row's non-zero words, so that a wide
+  * row holding a few cells costs the kernel the words it holds.
   */
 object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix, Delta] {
   override val name = "Dense"
 
   /** Fails fast, before allocating, when the closure's matrices cannot fit
-    * in the heap: one `T` per nonterminal, n²/8 bytes each (`Δ` and `Δ'`
-    * take space in proportion to their cells).
+    * in the heap: one `T` per nonterminal, n²/8 bytes each plus its index of
+    * ⌈n/4096⌉ longs per row (`Δ` and `Δ'` take space in proportion to their
+    * cells).
     */
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val n = math.max(graph.numNodes, 1).toLong
     val matrices = grammar.nonterminals.size
-    val bytes = BigInt(matrices) * n * ((n + 63) / 64) * 8
+    val words = (n + 63) / 64
+    val bytes = BigInt(matrices) * n * (words + (words + 63) / 64) * 8
     val heap = Runtime.getRuntime.maxMemory
     require(bytes <= heap,
-      s"Dense closure over $n nodes needs $bytes bytes ($matrices matrices of ${n}x$n bits), more than the $heap-byte heap")
+      s"Dense closure over $n nodes needs $bytes bytes ($matrices matrices of ${n}x$n bits and their word indexes), " +
+        s"more than the $heap-byte heap")
     super.solve(graph, grammar)
   }
 

@@ -6,22 +6,32 @@ import repro.core.Relation
   * analog of the paper's row-major dense matrices (dGPU/CUBLAS): every cell
   * is materialized, n²/8 bytes whatever the sparsity, which is exactly why
   * the dense variant degrades on larger graphs (the paper omits dGPU on
-  * g1–g3 for the same reason). Every write keeps the number of set cells
-  * exact and a row-occupancy bitmap, so `cardinality` takes no pass and
-  * empty rows are skipped unread.
+  * g1–g3 for the same reason). Every write keeps three things exact: the
+  * number of set cells, so `cardinality` takes no pass; a row-occupancy
+  * bitmap, so empty rows are skipped unread; and per row a bitmap of its
+  * non-zero words (⌈n/4096⌉ longs), so a row that holds a few cells is read
+  * word by word only where it has them.
   *
   * @param n matrix dimension (square, n×n)
   */
 final class BitMatrix(val n: Int) extends Serializable {
   private val wordsPerRow = (n + 63) >>> 6
+  private val indexPerRow = (wordsPerRow + 63) >>> 6
+  // The word index is never longer than `bits`, so one bound covers both arrays.
   require(n >= 0 && n.toLong * wordsPerRow <= Int.MaxValue,
-    s"a ${n}x$n BitMatrix needs ${n.toLong * wordsPerRow} words, more than one array holds (${Int.MaxValue})")
+    s"a ${n}x$n BitMatrix needs ${n.toLong * wordsPerRow} words and ${n.toLong * indexPerRow} index words, " +
+      s"more than one array holds (${Int.MaxValue})")
   private val bits = new Array[Long](n * wordsPerRow)
+  private val wordOcc = new Array[Long](n * indexPerRow) // bit w of row i's longs set iff word w of row i is non-zero
   private val rowOcc = new Array[Long](wordsPerRow) // bit i set iff row i holds a cell
   private var count = 0L
 
   private def occupy(i: Int): Unit = rowOcc(i >>> 6) |= 1L << (i & 63)
+  /** Records that word `w` of row `i` is non-zero. */
+  private def mark(i: Int, w: Int): Unit = wordOcc(i * indexPerRow + (w >>> 6)) |= 1L << (w & 63)
   private def occupied(i: Int): Boolean = (rowOcc(i >>> 6) & (1L << (i & 63))) != 0
+  /** Whether row `i` is read with a straight loop rather than through its word index. */
+  private def straight(i: Int): Boolean = BitMatrix.straight(wordOcc, i * indexPerRow, wordsPerRow)
 
   def apply(i: Int, j: Int): Boolean =
     (bits(i * wordsPerRow + (j >>> 6)) & (1L << (j & 63))) != 0
@@ -30,7 +40,7 @@ final class BitMatrix(val n: Int) extends Serializable {
     require(i >= 0 && i < n && j >= 0 && j < n, s"cell ($i,$j) out of ${n}x$n")
     val w = i * wordsPerRow + (j >>> 6)
     val bit = 1L << (j & 63)
-    if ((bits(w) & bit) == 0) { bits(w) |= bit; count += 1; occupy(i) }
+    if ((bits(w) & bit) == 0) { bits(w) |= bit; count += 1; occupy(i); mark(i, j >>> 6) }
   }
 
   /** Number of set cells. */
@@ -43,7 +53,10 @@ final class BitMatrix(val n: Int) extends Serializable {
     var w = 0
     while (w < bits.length) {
       val add = that.bits(w) & ~bits(w)
-      if (add != 0) { bits(w) |= add; count += java.lang.Long.bitCount(add); occupy(w / wordsPerRow) }
+      if (add != 0) {
+        bits(w) |= add; count += java.lang.Long.bitCount(add)
+        occupy(w / wordsPerRow); mark(w / wordsPerRow, w % wordsPerRow)
+      }
       w += 1
     }
     count != before
@@ -57,14 +70,15 @@ final class BitMatrix(val n: Int) extends Serializable {
     require(n == d.n, s"dim mismatch: ${d.n}x${d.n} into ${n}x$n")
     var r = 0
     while (r < d.size) {
-      occupy(d.rows(r))
-      val base = d.rows(r) * wordsPerRow
+      val i = d.rows(r)
+      occupy(i)
+      val base = i * wordsPerRow
       val s = d.ptr(r); val e = d.ptr(r + 1)
       if (e - s == wordsPerRow) {
         var w = 0
         while (w < wordsPerRow) {
           val add = d.data(s + w) & ~bits(base + w)
-          if (add != 0) { bits(base + w) |= add; count += java.lang.Long.bitCount(add) }
+          if (add != 0) { bits(base + w) |= add; count += java.lang.Long.bitCount(add); mark(i, w) }
           w += 1
         }
       } else {
@@ -72,7 +86,7 @@ final class BitMatrix(val n: Int) extends Serializable {
         while (q < e) {
           val j = d.data(q).toInt
           val w = base + (j >>> 6); val bit = 1L << (j & 63)
-          if ((bits(w) & bit) == 0) { bits(w) |= bit; count += 1 }
+          if ((bits(w) & bit) == 0) { bits(w) |= bit; count += 1; mark(i, j >>> 6) }
           q += 1
         }
       }
@@ -90,7 +104,9 @@ final class BitMatrix(val n: Int) extends Serializable {
     out
   }
 
-  /** All set cells as packed [[Relation]] cells, row-major ascending; empty rows are skipped unread. */
+  /** All set cells as packed [[Relation]] cells, row-major ascending; empty
+    * rows are skipped unread, and a row is read as [[BitMatrix.nextWord]] walks it.
+    */
   def toPacked: Array[Long] = {
     val out = new Array[Long](Math.toIntExact(count))
     var c = 0; var ow = 0
@@ -99,14 +115,15 @@ final class BitMatrix(val n: Int) extends Serializable {
       while (occupied != 0) {
         val i = (ow << 6) + java.lang.Long.numberOfTrailingZeros(occupied)
         occupied &= occupied - 1
-        var w = 0
+        val all = straight(i); val ib = i * indexPerRow
+        var w = BitMatrix.nextWord(wordOcc, ib, indexPerRow, all, -1)
         while (w < wordsPerRow) {
           var word = bits(i * wordsPerRow + w)
           while (word != 0) {
             out(c) = Relation.pack(i, (w << 6) + java.lang.Long.numberOfTrailingZeros(word))
             word &= word - 1; c += 1
           }
-          w += 1
+          w = BitMatrix.nextWord(wordOcc, ib, indexPerRow, all, w)
         }
       }
       ow += 1
@@ -167,23 +184,64 @@ object BitMatrix {
     /** The cells of `m`. */
     def apply(m: BitMatrix): Delta = {
       val out = new DeltaWriter(m.n)
-      val row = new Array[Long](m.wordsPerRow)
       var i = 0
       while (i < m.n) {
-        var c = 0; var w = 0
-        while (w < m.wordsPerRow) { row(w) = m.bits(i * m.wordsPerRow + w); c += java.lang.Long.bitCount(row(w)); w += 1 }
-        out.words(i, row, c)
+        if (m.occupied(i)) {
+          val base = i * m.wordsPerRow; val ib = i * m.indexPerRow; val all = m.straight(i)
+          var c = 0
+          var w = nextWord(m.wordOcc, ib, m.indexPerRow, all, -1)
+          while (w < m.wordsPerRow) { c += java.lang.Long.bitCount(m.bits(base + w)); w = nextWord(m.wordOcc, ib, m.indexPerRow, all, w) }
+          out.words(i, m.bits, base, m.wordOcc, ib, all, c)
+        }
         i += 1
       }
       out.result()
     }
   }
 
+  /** A walk through a row's word index ([[nextWord]]) pays for itself only
+    * where it skips more than this many words beyond the ones it reads.
+    */
+  private final val IndexSkip = 32
+
+  /** Whether a row of `words` words, whose non-zero words are the bits set
+    * in `index(from until from + ⌈words/64⌉)`, is read with a straight loop:
+    * a row of at most [[IndexSkip]] words always is, a wider one once its
+    * non-zero words fill about half of it. The choice is the row's own.
+    */
+  private def straight(index: Array[Long], from: Int, words: Int): Boolean = words <= IndexSkip || {
+    val end = from + ((words + 63) >>> 6)
+    var c = 0; var x = from
+    while (x < end) { c += java.lang.Long.bitCount(index(x)); x += 1 }
+    2 * c + IndexSkip >= words
+  }
+
+  /** The word after `w` (the first one for `w = -1`) that a walk over a row
+    * reads, given the bitmap `index(from until from + len)` of the row's
+    * non-zero words: with `all` (the row is read [[straight]]) the next word,
+    * otherwise the next word set in the bitmap, found as
+    * `java.util.BitSet.nextSetBit` finds it, so that the walk costs the words
+    * the row holds. Past the last word the result is at least the row's
+    * length.
+    */
+  private def nextWord(index: Array[Long], from: Int, len: Int, all: Boolean, w: Int): Int =
+    if (all) w + 1
+    else {
+      var x = (w + 1) >>> 6
+      if (x >= len) len << 6
+      else {
+        var word = index(from + x) & (-1L << ((w + 1) & 63))
+        while (word == 0 && x + 1 < len) { x += 1; word = index(from + x) }
+        if (word == 0) len << 6 else (x << 6) + java.lang.Long.numberOfTrailingZeros(word)
+      }
+    }
+
   /** Writes a [[Delta]] row by row, in ascending row order. Its arrays
     * grow by doubling and are handed over untrimmed.
     */
   private final class DeltaWriter(n: Int) {
     private val wpr = (n + 63) >>> 6
+    private val ipr = (wpr + 63) >>> 6
     private var rows = new Array[Int](16)
     private var ptr = new Array[Int](17)
     private var data = new Array[Long](64)
@@ -206,21 +264,26 @@ object BitMatrix {
       cells += c
     }
 
-    /** Row `i` given as its words, `c` cells; an empty row is skipped. */
-    def words(i: Int, row: Array[Long], c: Int): Unit = if (c > 0) {
+    /** Row `i` given as its words `row(from until from + wpr)` and its `c`
+      * cells; a row of fewer than `wpr` cells is read at the words that
+      * [[nextWord]] visits given `index(ifrom until ifrom + ⌈wpr/64⌉)` and
+      * `all`. An empty row is skipped.
+      */
+    def words(i: Int, row: Array[Long], from: Int, index: Array[Long], ifrom: Int, all: Boolean, c: Int): Unit = if (c > 0) {
       if (c >= wpr) {
         add(i, c, wpr)
-        System.arraycopy(row, 0, data, end, wpr)
+        System.arraycopy(row, from, data, end, wpr)
       } else {
         add(i, c, c)
-        var q = end; var w = 0
+        var q = end
+        var w = nextWord(index, ifrom, ipr, all, -1)
         while (w < wpr) {
-          var word = row(w)
+          var word = row(from + w)
           while (word != 0) {
             data(q) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
             word &= word - 1; q += 1
           }
-          w += 1
+          w = nextWord(index, ifrom, ipr, all, w)
         }
       }
       end = ptr(size)
@@ -256,30 +319,49 @@ object BitMatrix {
     *  - a right term `(T_B, Δ_C)` ANDs `T_B`'s row words with `Δ_C`'s
     *    row-occupancy bitmap, and for each k left ORs in (word form) or sets
     *    (column form) row k of `Δ_C`.
-    * Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned. A row
-    * that received something is then cleared of the mask's cells, one
-    * `andNot` per word, and emitted in its cheaper form; a row that received
-    * nothing is skipped without touching its words. The kernel allocates no
-    * n×n matrix: its working space is one row.
+    * Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned, and a
+    * row of either that is not read [[straight]] is read only at its
+    * non-zero words. The accumulator records the words it was written at,
+    * as the per-row accumulators of SuiteSparse's `saxpy3` and of Nagasaka
+    * et al. (Parallel Computing, 2019) do. A row that received something is
+    * then cleared of the mask's cells (one `andNot` per word), emitted in its
+    * cheaper form and zeroed, all three at its touched words only unless
+    * they make it a row read straight; a row that received nothing is
+    * skipped. The kernel allocates no n×n matrix: its working space is one
+    * row and its word bitmap.
     */
   def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta = {
     val n = mask.n
     require(left.forall { case (d, m) => d.n == n && m.n == n } && right.forall { case (m, d) => m.n == n && d.n == n },
       s"dim mismatch in a ${n}x$n sum")
     val wpr = mask.wordsPerRow
+    val ipr = mask.indexPerRow
     val ls = left.map(_._1).toArray
     val lt = left.map(_._2).toArray
     val rt = right.map(_._1).toArray
     val rs = right.map(_._2).toArray
     val next = new Array[Int](ls.length) // per left term: the index of its next row in `rows`
     val acc = new Array[Long](wpr)
+    val touched = new Array[Long](ipr) // bit w set if acc(w) was written since the last row
+    val wide = wpr > IndexSkip // a narrower row is always read straight, so `touched` is not kept
     val out = new DeltaWriter(n)
 
     // OR row k of `m` into the accumulator unless it is empty; true iff it was not.
     def orRow(m: BitMatrix, k: Int): Boolean = m.occupied(k) && {
-      val src = k * wpr
-      var w = 0
-      while (w < wpr) { acc(w) |= m.bits(src + w); w += 1 }
+      val src = k * wpr; val ib = k * ipr
+      if (m.straight(k)) {
+        if (wide) { var x = 0; while (x < ipr) { touched(x) |= m.wordOcc(ib + x); x += 1 } }
+        var w = 0
+        while (w < wpr) { acc(w) |= m.bits(src + w); w += 1 }
+      } else {
+        var x = 0
+        while (x < ipr) {
+          var z = m.wordOcc(ib + x)
+          touched(x) |= z
+          while (z != 0) { val w = (x << 6) + java.lang.Long.numberOfTrailingZeros(z); acc(w) |= m.bits(src + w); z &= z - 1 }
+          x += 1
+        }
+      }
       true
     }
 
@@ -311,35 +393,48 @@ object BitMatrix {
       }
       t = 0
       while (t < rt.length) {
-        val b = rt(t).bits; val d = rs(t)
-        val base = i * wpr
-        var kw = if (rt(t).occupied(i)) 0 else wpr // an empty row of T_B meets no row of Δ_C
-        while (kw < wpr) {
-          var word = b(base + kw) & d.occ(kw)
-          while (word != 0) {
-            val r = d.position((kw << 6) + java.lang.Long.numberOfTrailingZeros(word))
-            word &= word - 1
-            wrote = true
-            val s = d.ptr(r); val e = d.ptr(r + 1)
-            if (e - s == wpr) {
-              var w = 0
-              while (w < wpr) { acc(w) |= d.data(s + w); w += 1 }
-            } else {
-              var q = s
-              while (q < e) { val j = d.data(q).toInt; acc(j >>> 6) |= 1L << (j & 63); q += 1 }
+        val m = rt(t); val d = rs(t)
+        if (m.occupied(i)) { // an empty row of T_B meets no row of Δ_C
+          val base = i * wpr; val ib = i * ipr; val all = m.straight(i)
+          var kw = nextWord(m.wordOcc, ib, ipr, all, -1)
+          while (kw < wpr) {
+            var word = m.bits(base + kw) & d.occ(kw)
+            while (word != 0) {
+              val r = d.position((kw << 6) + java.lang.Long.numberOfTrailingZeros(word))
+              word &= word - 1
+              wrote = true
+              val s = d.ptr(r); val e = d.ptr(r + 1)
+              if (e - s == wpr) {
+                var w = 0
+                while (w < wpr) { acc(w) |= d.data(s + w); w += 1 }
+                if (wide) java.util.Arrays.fill(touched, -1L)
+              } else {
+                var q = s
+                while (q < e) {
+                  val j = d.data(q).toInt
+                  acc(j >>> 6) |= 1L << (j & 63); touched(j >>> 12) |= 1L << ((j >>> 6) & 63)
+                  q += 1
+                }
+              }
             }
+            kw = nextWord(m.wordOcc, ib, ipr, all, kw)
           }
-          kw += 1
         }
         t += 1
       }
       if (wrote) {
-        val base = i * wpr
-        var w = 0
+        val base = i * wpr; val all = straight(touched, 0, wpr)
         var c = 0
-        while (w < wpr) { acc(w) &= ~mask.bits(base + w); c += java.lang.Long.bitCount(acc(w)); w += 1 }
-        out.words(i, acc, c)
-        java.util.Arrays.fill(acc, 0L)
+        var w = nextWord(touched, 0, ipr, all, -1)
+        while (w < wpr) {
+          acc(w) &= ~mask.bits(base + w); c += java.lang.Long.bitCount(acc(w))
+          w = nextWord(touched, 0, ipr, all, w)
+        }
+        out.words(i, acc, 0, touched, 0, all, c)
+        w = nextWord(touched, 0, ipr, all, -1)
+        while (w < wpr) { acc(w) = 0; w = nextWord(touched, 0, ipr, all, w) }
+        var x = 0
+        while (x < ipr) { touched(x) = 0; x += 1 }
       }
       i += 1
     }

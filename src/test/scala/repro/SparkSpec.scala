@@ -30,6 +30,11 @@ object SparkSpec {
     // Keep test/bench logs readable: Spark's INFO firehose would dominate
     // the captured output (and bench_output.txt) otherwise.
     s.sparkContext.setLogLevel("WARN")
+    // Every released SparkBlock/SparkDF local checkpoint logs one WARN from
+    // MapPartitionsRDD ("RDD n was locally checkpointed…"), about a thousand
+    // per run, which would bury every other warning.
+    org.apache.logging.log4j.core.config.Configurator.setLevel(
+      "org.apache.spark.rdd.MapPartitionsRDD", org.apache.logging.log4j.Level.ERROR)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -107,8 +107,8 @@ class EngineEquivalenceSpec extends AnyFunSuite {
   test("Dense fails fast, naming both sizes, when its matrices cannot fit in the heap") {
     val graph = LabeledGraph(2000000, Vector((0, "a", 1)))
     val cnf = CnfGrammar(binary = Seq(("S", "A", "S"), ("S", "A", "A")), term = Seq(("A", "a")))
-    // T_S and T_A: 2 matrices of 2,000,000 rows × 31,250 words.
-    val bytes = 2L * 2000000L * 31250L * 8L
+    // T_S and T_A: 2 matrices of 2,000,000 rows × (31,250 words + a word index of ⌈31,250/64⌉ = 489 longs).
+    val bytes = 2L * 2000000L * (31250L + (31250L + 63) / 64) * 8L
     val e = intercept[IllegalArgumentException](DenseCFPQ.solve(graph, cnf))
     assert(e.getMessage.contains(s"$bytes bytes"), e.getMessage)
     assert(e.getMessage.contains(s"${Runtime.getRuntime.maxMemory}-byte heap"), e.getMessage)

@@ -83,6 +83,35 @@ class BitMatrixSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](m.orInPlace(delta(3, Seq.empty)))
   }
 
+  test("every write keeps the word index exact (n = 4,160: 65 words, a word index of 2 longs per row)") {
+    val n = 4160
+    val cols = Seq(0, 63 * 64 + 5, 64 * 64, n - 1) // in words 0, 63 and 64, the last word
+    // Rows 1 and 4 hold all four; row 2 skips word 63 (its walk jumps to the index's second long), row 3 word 0.
+    def row(i: Int) = (if (i == 2) cols.filter(_ / 64 != 63) else if (i == 3) cols.tail else cols).map(i -> _)
+    // Row 0 gathers rows 1-4 when m is a left term; rows `cols` are the identity when m is a right term.
+    val probe = (1 to 4).map(0 -> _) ++ cols.map(j => j -> j)
+    val mask = Set((0, n - 1), (2, 0))
+    def check(m: BitMatrix, ref: Set[(Int, Int)]): Unit = {
+      assert(m.toPairs == ref.toVector.sorted && m.cardinality == ref.size)
+      val d = delta(n, probe)
+      val p = BitMatrix.multiplyMasked(Seq(d -> m), Seq(m -> d), BitMatrix.fromPairs(n, mask))
+      val expected = BoolRef.multiply(n, probe.toSet, ref) ++ BoolRef.multiply(n, ref, probe.toSet) -- mask
+      assert(pairs(p) == expected.toVector.sorted && p.cells == expected.size)
+    }
+    val m = new BitMatrix(n)
+    row(1).foreach { case (i, j) => m.set(i, j) }
+    check(m, row(1).toSet)
+    assert(m.orInPlace(BitMatrix.fromPairs(n, row(2))))
+    check(m, (row(1) ++ row(2)).toSet)
+    val columns = delta(n, row(3))
+    val words = delta(n, row(4) ++ (1000 until 1070).map(4 -> _)) // 74 cells of 65 words per row
+    assert(MaskedKernelPropertySpec.rowForms(columns) == (0, 1) && MaskedKernelPropertySpec.rowForms(words) == (1, 0))
+    m.orInPlace(columns)
+    check(m, (row(1) ++ row(2) ++ row(3)).toSet)
+    m.orInPlace(words)
+    check(m, (row(1) ++ row(2) ++ row(3) ++ row(4) ++ (1000 until 1070).map(4 -> _)).toSet)
+  }
+
   test("set rejects a cell outside n x n instead of setting another or a padding bit") {
     // (0, 130) would land on (1, 2) and (0, 100) on a padding bit of row 0.
     for ((i, j) <- Seq((0, 130), (0, 100), (0, 70), (70, 0), (-1, 0), (0, -1))) {

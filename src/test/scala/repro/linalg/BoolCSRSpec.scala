@@ -7,8 +7,10 @@ import scala.util.Random
 
 /** Reference semantics for the sparse kernels: plain set-of-pairs algebra. */
 object BoolRef {
-  def multiply(n: Int, a: Set[(Int, Int)], b: Set[(Int, Int)]): Set[(Int, Int)] =
-    for { (i, k) <- a; (k2, j) <- b if k == k2 } yield (i, j)
+  def multiply(n: Int, a: Set[(Int, Int)], b: Set[(Int, Int)]): Set[(Int, Int)] = {
+    val bRows = b.groupMap(_._1)(_._2) // the join on k, without trying every pair of cells
+    for { (i, k) <- a; j <- bRows.getOrElse(k, Set.empty) } yield (i, j)
+  }
 
   def randomPairs(rnd: Random, rows: Int, cols: Int, density: Double): Set[(Int, Int)] =
     (for {

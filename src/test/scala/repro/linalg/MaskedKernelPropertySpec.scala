@@ -14,6 +14,14 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
     // Rows of every Delta the BitMatrix kernel read or built, by form: (words, columns).
     var forms = (0, 0)
     def seen(d: BitMatrix.Delta): BitMatrix.Delta = { val (w, c) = rowForms(d); forms = (forms._1 + w, forms._2 + c); d }
+    // Rows of every T the kernel read, by the side of BitMatrix's per-row switch: (straight, indexed), and
+    // the indexed rows with a non-zero word in the second long of their word index.
+    var sides = (0, 0, 0)
+    def read(n: Int, cells: Set[(Int, Int)]): BitMatrix = {
+      val (s, i, wide) = rowSides(n, cells)
+      sides = (sides._1 + s, sides._2 + i, sides._3 + wide)
+      BitMatrix.fromPairs(n, cells)
+    }
     checkProperty(Prop.forAllNoShrink(genCase) { c =>
       val expected = c.product -- c.mask
       val csrTerms = c.terms.map { case (a, b) => BoolCSR.fromPairs(c.n, c.n, a) -> BoolCSR.fromPairs(c.n, c.n, b) }
@@ -21,7 +29,7 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
       // A left term is (Δ, T), a right term (T, Δ).
       def delta(cells: Set[(Int, Int)]) = seen(BitMatrix.Delta(BoolCSR.fromPairs(c.n, c.n, cells)))
       val (left, right) = c.terms.zip(c.leftSide).partitionMap { case ((a, b), isLeft) =>
-        if (isLeft) Left(delta(a) -> BitMatrix.fromPairs(c.n, b)) else Right(BitMatrix.fromPairs(c.n, a) -> delta(b))
+        if (isLeft) Left(delta(a) -> read(c.n, b)) else Right(read(c.n, a) -> delta(b))
       }
       def bit(mask: Set[(Int, Int)]) = {
         val d = seen(BitMatrix.multiplyMasked(left, right, BitMatrix.fromPairs(c.n, mask)))
@@ -35,6 +43,7 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
         Prop(bit(Set.empty) == (c.product, c.product.size.toLong)) :| "BitMatrix, no mask"
     }, seed = 20190L)
     assert(forms._1 > 0 && forms._2 > 0, s"rows by form (words, columns): $forms")
+    assert(sides._1 > 0 && sides._2 > 0 && sides._3 > 0, s"rows by side (straight, indexed, indexed past word 63): $sides")
   }
 }
 
@@ -44,6 +53,18 @@ object MaskedKernelPropertySpec {
   def rowForms(d: BitMatrix.Delta): (Int, Int) = {
     val words = (0 until d.size).count(r => d.ptr(r + 1) - d.ptr(r) == (d.n + 63) / 64)
     (words, d.size - words)
+  }
+
+  /** The non-empty rows of the n×n `cells` by the side of BitMatrix's
+    * per-row switch, (straight, indexed, indexed with a non-zero word past
+    * word 63): a row of w = `n / 64` rounded up words with c non-zero words
+    * is read straight when w ≤ 32 or 2c + 32 ≥ w.
+    */
+  def rowSides(n: Int, cells: Set[(Int, Int)]): (Int, Int, Int) = {
+    val w = (n + 63) / 64
+    val rows = cells.groupMapReduce(_._1)(c => Set(c._2 >>> 6))(_ ++ _).values
+    val indexed = rows.filter(words => w > 32 && 2 * words.size + 32 < w)
+    (rows.size - indexed.size, indexed.size, indexed.count(_.max >= 64))
   }
 
   /** Square `n×n` terms and a mask; `leftSide(t)` puts term `t`'s `Δ` on
@@ -67,13 +88,27 @@ object MaskedKernelPropertySpec {
     BoolRef.randomPairs(rnd, n, n, density).filterNot(c => emptyRows(c._1))
   }
 
+  /** For n > 4,096, where a row's word index spans two longs: 1–4 cells
+    * in about half the rows, a quarter of them in the last 300 columns; in
+    * one matrix of three, one more row of 100 cells, which a `Delta` holds
+    * as words and a `T` reads straight.
+    */
+  private def genWide(n: Int): Gen[Set[(Int, Int)]] = Gen.long.map { seed =>
+    val rnd = new scala.util.Random(seed)
+    def col() = if (rnd.nextInt(4) == 0) n - 1 - rnd.nextInt(300) else rnd.nextInt(n)
+    val few = for { i <- 0 until n if rnd.nextBoolean(); _ <- 0 to rnd.nextInt(4) } yield (i, col())
+    val hub = if (rnd.nextInt(3) == 0) { val i = rnd.nextInt(n); Seq.fill(100)((i, col())) } else Seq.empty
+    (few ++ hub).toSet
+  }
+
   val genCase: Gen[Case] = for {
-    n <- Gen.frequency(1 -> Gen.choose(1, 64), 3 -> Gen.choose(65, 140))
+    n <- Gen.frequency(1 -> Gen.choose(1, 64), 3 -> Gen.choose(65, 140), 1 -> Gen.choose(4097, 4300))
     k <- Gen.choose(1, 4)
-    terms <- Gen.listOfN(k, Gen.zip(genMatrix(n), genMatrix(n)))
+    gen = if (n > 4096) genWide(n) else genMatrix(n)
+    terms <- Gen.listOfN(k, Gen.zip(gen, gen))
     // Left-only, right-only or mixed.
     leftSide <- Gen.oneOf(Gen.const(List.fill(k)(true)), Gen.const(List.fill(k)(false)), Gen.listOfN(k, Gen.oneOf(true, false)))
-    other <- genMatrix(n)
+    other <- gen
     pick <- Gen.choose(0, 3)
   } yield {
     val c = Case(n, terms, leftSide, Set.empty)
