@@ -9,8 +9,8 @@ import repro.core.Relation
   * g1–g3 for the same reason). Every write keeps three things exact: the
   * number of set cells, so `cardinality` takes no pass; a row-occupancy
   * bitmap, so empty rows are skipped unread; and per row a bitmap of its
-  * non-zero words (⌈n/4096⌉ longs), so a row that holds a few cells is read
-  * word by word only where it has them.
+  * non-zero words (⌈n/4096⌉ longs), so a row of a wide matrix that holds a
+  * few cells is read word by word only where it has them.
   *
   * @param n matrix dimension (square, n×n)
   */
@@ -30,8 +30,6 @@ final class BitMatrix(val n: Int) extends Serializable {
   /** Records that word `w` of row `i` is non-zero. */
   private def mark(i: Int, w: Int): Unit = wordOcc(i * indexPerRow + (w >>> 6)) |= 1L << (w & 63)
   private def occupied(i: Int): Boolean = (rowOcc(i >>> 6) & (1L << (i & 63))) != 0
-  /** Whether row `i` is read with a straight loop rather than through its word index. */
-  private def straight(i: Int): Boolean = BitMatrix.straight(wordOcc, i * indexPerRow, wordsPerRow)
 
   def apply(i: Int, j: Int): Boolean =
     (bits(i * wordsPerRow + (j >>> 6)) & (1L << (j & 63))) != 0
@@ -50,14 +48,18 @@ final class BitMatrix(val n: Int) extends Serializable {
   def orInPlace(that: BitMatrix): Boolean = {
     require(n == that.n)
     val before = count
-    var w = 0
-    while (w < bits.length) {
-      val add = that.bits(w) & ~bits(w)
-      if (add != 0) {
-        bits(w) |= add; count += java.lang.Long.bitCount(add)
-        occupy(w / wordsPerRow); mark(w / wordsPerRow, w % wordsPerRow)
+    var i = 0
+    while (i < n) {
+      if (that.occupied(i)) {
+        val base = i * wordsPerRow; val ib = i * indexPerRow
+        var w = BitMatrix.nextWord(that.wordOcc, ib, wordsPerRow, -1)
+        while (w < wordsPerRow) {
+          val add = that.bits(base + w) & ~bits(base + w)
+          if (add != 0) { bits(base + w) |= add; count += java.lang.Long.bitCount(add); occupy(i); mark(i, w) }
+          w = BitMatrix.nextWord(that.wordOcc, ib, wordsPerRow, w)
+        }
       }
-      w += 1
+      i += 1
     }
     count != before
   }
@@ -115,15 +117,15 @@ final class BitMatrix(val n: Int) extends Serializable {
       while (occupied != 0) {
         val i = (ow << 6) + java.lang.Long.numberOfTrailingZeros(occupied)
         occupied &= occupied - 1
-        val all = straight(i); val ib = i * indexPerRow
-        var w = BitMatrix.nextWord(wordOcc, ib, indexPerRow, all, -1)
+        val ib = i * indexPerRow
+        var w = BitMatrix.nextWord(wordOcc, ib, wordsPerRow, -1)
         while (w < wordsPerRow) {
           var word = bits(i * wordsPerRow + w)
           while (word != 0) {
             out(c) = Relation.pack(i, (w << 6) + java.lang.Long.numberOfTrailingZeros(word))
             word &= word - 1; c += 1
           }
-          w = BitMatrix.nextWord(wordOcc, ib, indexPerRow, all, w)
+          w = BitMatrix.nextWord(wordOcc, ib, wordsPerRow, w)
         }
       }
       ow += 1
@@ -187,11 +189,11 @@ object BitMatrix {
       var i = 0
       while (i < m.n) {
         if (m.occupied(i)) {
-          val base = i * m.wordsPerRow; val ib = i * m.indexPerRow; val all = m.straight(i)
+          val base = i * m.wordsPerRow; val ib = i * m.indexPerRow
           var c = 0
-          var w = nextWord(m.wordOcc, ib, m.indexPerRow, all, -1)
-          while (w < m.wordsPerRow) { c += java.lang.Long.bitCount(m.bits(base + w)); w = nextWord(m.wordOcc, ib, m.indexPerRow, all, w) }
-          out.words(i, m.bits, base, m.wordOcc, ib, all, c)
+          var w = nextWord(m.wordOcc, ib, m.wordsPerRow, -1)
+          while (w < m.wordsPerRow) { c += java.lang.Long.bitCount(m.bits(base + w)); w = nextWord(m.wordOcc, ib, m.wordsPerRow, w) }
+          out.words(i, m.bits, base, m.wordOcc, ib, c)
         }
         i += 1
       }
@@ -199,40 +201,31 @@ object BitMatrix {
     }
   }
 
-  /** A walk through a row's word index ([[nextWord]]) pays for itself only
-    * where it skips more than this many words beyond the ones it reads.
+  /** Whether the rows of a matrix `words` words wide are read with a
+    * straight loop rather than through their word index: a row of at most
+    * 32 words is, because a walk through the index costs a branch per word
+    * it reads and so pays only where it skips many. The choice is the
+    * matrix's own, from its width.
     */
-  private final val IndexSkip = 32
-
-  /** Whether a row of `words` words, whose non-zero words are the bits set
-    * in `index(from until from + ⌈words/64⌉)`, is read with a straight loop:
-    * a row of at most [[IndexSkip]] words always is, a wider one once its
-    * non-zero words fill about half of it. The choice is the row's own.
-    */
-  private def straight(index: Array[Long], from: Int, words: Int): Boolean = words <= IndexSkip || {
-    val end = from + ((words + 63) >>> 6)
-    var c = 0; var x = from
-    while (x < end) { c += java.lang.Long.bitCount(index(x)); x += 1 }
-    2 * c + IndexSkip >= words
-  }
+  private[linalg] def straight(words: Int): Boolean = words <= 32
 
   /** The word after `w` (the first one for `w = -1`) that a walk over a row
-    * reads, given the bitmap `index(from until from + len)` of the row's
-    * non-zero words: with `all` (the row is read [[straight]]) the next word,
-    * otherwise the next word set in the bitmap, found as
+    * of `words` words reads, given the bitmap `index(from until from +
+    * ⌈words/64⌉)` of the row's non-zero words: in a [[straight]] row the
+    * next word, otherwise the next word set in the bitmap, found as
     * `java.util.BitSet.nextSetBit` finds it, so that the walk costs the words
-    * the row holds. Past the last word the result is at least the row's
-    * length.
+    * the row holds. Past the last word the result is at least `words`.
     */
-  private def nextWord(index: Array[Long], from: Int, len: Int, all: Boolean, w: Int): Int =
-    if (all) w + 1
+  private def nextWord(index: Array[Long], from: Int, words: Int, w: Int): Int =
+    if (straight(words)) w + 1
     else {
+      val len = (words + 63) >>> 6
       var x = (w + 1) >>> 6
-      if (x >= len) len << 6
+      if (x >= len) words
       else {
         var word = index(from + x) & (-1L << ((w + 1) & 63))
         while (word == 0 && x + 1 < len) { x += 1; word = index(from + x) }
-        if (word == 0) len << 6 else (x << 6) + java.lang.Long.numberOfTrailingZeros(word)
+        if (word == 0) words else (x << 6) + java.lang.Long.numberOfTrailingZeros(word)
       }
     }
 
@@ -241,7 +234,6 @@ object BitMatrix {
     */
   private final class DeltaWriter(n: Int) {
     private val wpr = (n + 63) >>> 6
-    private val ipr = (wpr + 63) >>> 6
     private var rows = new Array[Int](16)
     private var ptr = new Array[Int](17)
     private var data = new Array[Long](64)
@@ -266,24 +258,24 @@ object BitMatrix {
 
     /** Row `i` given as its words `row(from until from + wpr)` and its `c`
       * cells; a row of fewer than `wpr` cells is read at the words that
-      * [[nextWord]] visits given `index(ifrom until ifrom + ⌈wpr/64⌉)` and
-      * `all`. An empty row is skipped.
+      * [[nextWord]] visits given `index(ifrom until ifrom + ⌈wpr/64⌉)`.
+      * An empty row is skipped.
       */
-    def words(i: Int, row: Array[Long], from: Int, index: Array[Long], ifrom: Int, all: Boolean, c: Int): Unit = if (c > 0) {
+    def words(i: Int, row: Array[Long], from: Int, index: Array[Long], ifrom: Int, c: Int): Unit = if (c > 0) {
       if (c >= wpr) {
         add(i, c, wpr)
         System.arraycopy(row, from, data, end, wpr)
       } else {
         add(i, c, c)
         var q = end
-        var w = nextWord(index, ifrom, ipr, all, -1)
+        var w = nextWord(index, ifrom, wpr, -1)
         while (w < wpr) {
           var word = row(from + w)
           while (word != 0) {
             data(q) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
             word &= word - 1; q += 1
           }
-          w = nextWord(index, ifrom, ipr, all, w)
+          w = nextWord(index, ifrom, wpr, w)
         }
       }
       end = ptr(size)
@@ -319,15 +311,15 @@ object BitMatrix {
     *  - a right term `(T_B, Δ_C)` ANDs `T_B`'s row words with `Δ_C`'s
     *    row-occupancy bitmap, and for each k left ORs in (word form) or sets
     *    (column form) row k of `Δ_C`.
-    * Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned, and a
-    * row of either that is not read [[straight]] is read only at its
-    * non-zero words. The accumulator records the words it was written at,
-    * as the per-row accumulators of SuiteSparse's `saxpy3` and of Nagasaka
-    * et al. (Parallel Computing, 2019) do. A row that received something is
-    * then cleared of the mask's cells (one `andNot` per word), emitted in its
-    * cheaper form and zeroed, all three at its touched words only unless
-    * they make it a row read straight; a row that received nothing is
-    * skipped. The kernel allocates no n×n matrix: its working space is one
+    * Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned. A row
+    * that received something is then cleared of the mask's cells (one
+    * `andNot` per word), emitted in its cheaper form and zeroed; a row that
+    * received nothing is skipped. Unless the rows are read [[straight]], a
+    * row of `T_C` or `T_B` is read only at its non-zero words, and the
+    * accumulator records the words it was written at and is masked,
+    * emitted and zeroed only there, as the per-row accumulators of
+    * SuiteSparse's `saxpy3` and of Nagasaka et al. (Parallel Computing,
+    * 2019) do. The kernel allocates no n×n matrix: its working space is one
     * row and its word bitmap.
     */
   def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta = {
@@ -343,14 +335,13 @@ object BitMatrix {
     val next = new Array[Int](ls.length) // per left term: the index of its next row in `rows`
     val acc = new Array[Long](wpr)
     val touched = new Array[Long](ipr) // bit w set if acc(w) was written since the last row
-    val wide = wpr > IndexSkip // a narrower row is always read straight, so `touched` is not kept
+    val wide = !straight(wpr) // else every walk reads every word, so `touched` is not kept
     val out = new DeltaWriter(n)
 
     // OR row k of `m` into the accumulator unless it is empty; true iff it was not.
     def orRow(m: BitMatrix, k: Int): Boolean = m.occupied(k) && {
       val src = k * wpr; val ib = k * ipr
-      if (m.straight(k)) {
-        if (wide) { var x = 0; while (x < ipr) { touched(x) |= m.wordOcc(ib + x); x += 1 } }
+      if (!wide) {
         var w = 0
         while (w < wpr) { acc(w) |= m.bits(src + w); w += 1 }
       } else {
@@ -395,8 +386,8 @@ object BitMatrix {
       while (t < rt.length) {
         val m = rt(t); val d = rs(t)
         if (m.occupied(i)) { // an empty row of T_B meets no row of Δ_C
-          val base = i * wpr; val ib = i * ipr; val all = m.straight(i)
-          var kw = nextWord(m.wordOcc, ib, ipr, all, -1)
+          val base = i * wpr; val ib = i * ipr
+          var kw = nextWord(m.wordOcc, ib, wpr, -1)
           while (kw < wpr) {
             var word = m.bits(base + kw) & d.occ(kw)
             while (word != 0) {
@@ -417,22 +408,22 @@ object BitMatrix {
                 }
               }
             }
-            kw = nextWord(m.wordOcc, ib, ipr, all, kw)
+            kw = nextWord(m.wordOcc, ib, wpr, kw)
           }
         }
         t += 1
       }
       if (wrote) {
-        val base = i * wpr; val all = straight(touched, 0, wpr)
+        val base = i * wpr
         var c = 0
-        var w = nextWord(touched, 0, ipr, all, -1)
+        var w = nextWord(touched, 0, wpr, -1)
         while (w < wpr) {
           acc(w) &= ~mask.bits(base + w); c += java.lang.Long.bitCount(acc(w))
-          w = nextWord(touched, 0, ipr, all, w)
+          w = nextWord(touched, 0, wpr, w)
         }
-        out.words(i, acc, 0, touched, 0, all, c)
-        w = nextWord(touched, 0, ipr, all, -1)
-        while (w < wpr) { acc(w) = 0; w = nextWord(touched, 0, ipr, all, w) }
+        out.words(i, acc, 0, touched, 0, c)
+        w = nextWord(touched, 0, wpr, -1)
+        while (w < wpr) { acc(w) = 0; w = nextWord(touched, 0, wpr, w) }
         var x = 0
         while (x < ipr) { touched(x) = 0; x += 1 }
       }

@@ -14,8 +14,8 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
     // Rows of every Delta the BitMatrix kernel read or built, by form: (words, columns).
     var forms = (0, 0)
     def seen(d: BitMatrix.Delta): BitMatrix.Delta = { val (w, c) = rowForms(d); forms = (forms._1 + w, forms._2 + c); d }
-    // Rows of every T the kernel read, by the side of BitMatrix's per-row switch: (straight, indexed), and
-    // the indexed rows with a non-zero word in the second long of their word index.
+    // Rows of every T the kernel read, by the side of BitMatrix's straight/indexed switch: (straight, indexed),
+    // and the indexed rows with a non-zero word in the second long of their word index.
     var sides = (0, 0, 0)
     def read(n: Int, cells: Set[(Int, Int)]): BitMatrix = {
       val (s, i, wide) = rowSides(n, cells)
@@ -56,15 +56,14 @@ object MaskedKernelPropertySpec {
   }
 
   /** The non-empty rows of the n×n `cells` by the side of BitMatrix's
-    * per-row switch, (straight, indexed, indexed with a non-zero word past
-    * word 63): a row of w = `n / 64` rounded up words with c non-zero words
-    * is read straight when w ≤ 32 or 2c + 32 ≥ w.
+    * straight/indexed switch, (straight, indexed, indexed with a non-zero
+    * word past word 63), as `BitMatrix.straight` tells the side of a matrix
+    * `n / 64` rounded up words wide.
     */
   def rowSides(n: Int, cells: Set[(Int, Int)]): (Int, Int, Int) = {
-    val w = (n + 63) / 64
-    val rows = cells.groupMapReduce(_._1)(c => Set(c._2 >>> 6))(_ ++ _).values
-    val indexed = rows.filter(words => w > 32 && 2 * words.size + 32 < w)
-    (rows.size - indexed.size, indexed.size, indexed.count(_.max >= 64))
+    val lastWords = cells.groupMapReduce(_._1)(_._2 >>> 6)(math.max).values
+    if (BitMatrix.straight((n + 63) / 64)) (lastWords.size, 0, 0)
+    else (0, lastWords.size, lastWords.count(_ >= 64))
   }
 
   /** Square `n×n` terms and a mask; `leftSide(t)` puts term `t`'s `Δ` on
@@ -91,7 +90,7 @@ object MaskedKernelPropertySpec {
   /** For n > 4,096, where a row's word index spans two longs: 1–4 cells
     * in about half the rows, a quarter of them in the last 300 columns; in
     * one matrix of three, one more row of 100 cells, which a `Delta` holds
-    * as words and a `T` reads straight.
+    * as words.
     */
   private def genWide(n: Int): Gen[Set[(Int, Int)]] = Gen.long.map { seed =>
     val rnd = new scala.util.Random(seed)
