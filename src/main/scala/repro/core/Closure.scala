@@ -2,7 +2,6 @@ package repro.core
 
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
-import repro.linalg.BoolCSR
 import scala.annotation.tailrec
 
 /** The fixpoint loop of Algorithm 1 (lines 8–9): `T ← T ∪ (T·T)` until `T`
@@ -53,8 +52,8 @@ object Closure {
   */
 abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
 
-  /** `T₀_A` and `Δ₀_A`, both holding the cells of `m`. */
-  protected def init(m: BoolCSR): (M, D)
+  /** `T₀_A` and `Δ₀_A` of an n×n matrix, both holding the distinct `cells`. */
+  protected def init(n: Int, cells: Seq[(Int, Int)]): (M, D)
 
   /** `(⋃_{(δ, t) ∈ left} δ × t ∪ ⋃_{(t, δ) ∈ right} t × δ) ∖ mask`: the product cells not in `mask`. */
   protected def multiplyMasked(left: Seq[(D, M)], right: Seq[(M, D)], mask: M): D
@@ -70,7 +69,7 @@ abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
     val n = math.max(graph.numNodes, 1)
     val cellsByNt = MatrixInit.cells(graph, grammar)
     val t0 = grammar.nonterminals.iterator
-      .map(nt => nt -> init(BoolCSR.fromPairs(n, n, cellsByNt.getOrElse(nt, Seq.empty)))).toMap
+      .map(nt => nt -> init(n, cellsByNt.getOrElse(nt, Seq.empty))).toMap
     val rulesByLhs = grammar.binary.groupBy(_._1)
     // State: T and the non-empty Δs (an absent Δ is empty).
     val start = (t0.map { case (nt, (m, _)) => nt -> m }, t0.collect { case (nt, (_, d)) if deltaCells(d) > 0 => nt -> d })

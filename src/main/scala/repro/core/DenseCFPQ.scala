@@ -2,7 +2,7 @@ package repro.core
 
 import repro.cfg.CnfGrammar
 import repro.graph.LabeledGraph
-import repro.linalg.{BitMatrix, BoolCSR}
+import repro.linalg.BitMatrix
 import repro.linalg.BitMatrix.Delta
 
 /** Algorithm 1 over *dense* Boolean matrices — the paper's **dGPU**
@@ -16,22 +16,22 @@ import repro.linalg.BitMatrix.Delta
   * words or as columns, [[BitMatrix.multiplyMasked]] ORs a row of `T` into
   * a one-row accumulator per cell of `Δ` (64 cells per word operation), and
   * `T_A ∪ Δ'_A` writes only `Δ'_A`'s rows. A step allocates no n×n matrix.
-  * Each `T` keeps a bitmap of every row's non-zero words, so that a wide
-  * row holding a few cells costs the kernel the words it holds.
+  * `T₀` is set cell by cell and `Δ₀` copied from it. Each `T` of more
+  * than 32 words per row keeps a bitmap of every row's non-zero words, so
+  * that a wide row holding a few cells costs the kernel the words it holds.
   */
 object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix, Delta] {
   override val name = "Dense"
 
   /** Fails fast, before allocating, when the closure's matrices cannot fit
-    * in the heap: one `T` per nonterminal, n²/8 bytes each plus its index of
-    * ⌈n/4096⌉ longs per row (`Δ` and `Δ'` take space in proportion to their
-    * cells).
+    * in the heap: one `T` per nonterminal, n²/8 bytes each plus, in a
+    * matrix of more than 32 words per row, its index of ⌈n/4096⌉ longs per
+    * row (`Δ` and `Δ'` take space in proportion to their cells).
     */
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
-    val n = math.max(graph.numNodes, 1).toLong
+    val n = math.max(graph.numNodes, 1)
     val matrices = grammar.nonterminals.size
-    val words = (n + 63) / 64
-    val bytes = BigInt(matrices) * n * (words + (words + 63) / 64) * 8
+    val bytes = BigInt(matrices) * BitMatrix.longs(n) * 8
     val heap = Runtime.getRuntime.maxMemory
     require(bytes <= heap,
       s"Dense closure over $n nodes needs $bytes bytes ($matrices matrices of ${n}x$n bits and their word indexes), " +
@@ -39,11 +39,9 @@ object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix, Delta] {
     super.solve(graph, grammar)
   }
 
-  protected def init(m: BoolCSR): (BitMatrix, Delta) = {
-    val d = Delta(m)
-    val t = new BitMatrix(m.numRows)
-    t.orInPlace(d)
-    (t, d)
+  protected def init(n: Int, cells: Seq[(Int, Int)]): (BitMatrix, Delta) = {
+    val t = BitMatrix.fromPairs(n, cells)
+    (t, Delta(t))
   }
   protected def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta =
     BitMatrix.multiplyMasked(left, right, mask)

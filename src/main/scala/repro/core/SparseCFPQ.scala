@@ -14,7 +14,10 @@ import repro.linalg.BoolCSR
 object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR, BoolCSR] {
   override val name = "SparseCSR"
 
-  protected def init(m: BoolCSR): (BoolCSR, BoolCSR) = (m, m)
+  protected def init(n: Int, cells: Seq[(Int, Int)]): (BoolCSR, BoolCSR) = {
+    val m = BoolCSR.fromPairs(n, n, cells)
+    (m, m)
+  }
   protected def multiplyMasked(left: Seq[(BoolCSR, BoolCSR)], right: Seq[(BoolCSR, BoolCSR)], mask: BoolCSR): BoolCSR =
     BoolCSR.multiplyMasked(left ++ right, Some(mask))
   protected def union(a: BoolCSR, d: BoolCSR): BoolCSR = a.union(d)

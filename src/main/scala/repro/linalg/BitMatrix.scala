@@ -6,17 +6,18 @@ import repro.core.Relation
   * analog of the paper's row-major dense matrices (dGPU/CUBLAS): every cell
   * is materialized, n²/8 bytes whatever the sparsity, which is exactly why
   * the dense variant degrades on larger graphs (the paper omits dGPU on
-  * g1–g3 for the same reason). Every write keeps three things exact: the
-  * number of set cells, so `cardinality` takes no pass; a row-occupancy
-  * bitmap, so empty rows are skipped unread; and per row a bitmap of its
-  * non-zero words (⌈n/4096⌉ longs), so a row of a wide matrix that holds a
-  * few cells is read word by word only where it has them.
+  * g1–g3 for the same reason). Every write keeps exact the number of set
+  * cells, so `cardinality` takes no pass, and a row-occupancy bitmap, so
+  * empty rows are skipped unread. A matrix whose rows are not read
+  * [[BitMatrix.straight]] also keeps per row a bitmap of its non-zero
+  * words (⌈n/4096⌉ longs), so a row that holds a few cells is read word by
+  * word only where it has them.
   *
   * @param n matrix dimension (square, n×n)
   */
 final class BitMatrix(val n: Int) extends Serializable {
   private val wordsPerRow = (n + 63) >>> 6
-  private val indexPerRow = (wordsPerRow + 63) >>> 6
+  private val indexPerRow = BitMatrix.indexPerRow(wordsPerRow) // 0: no word index
   // The word index is never longer than `bits`, so one bound covers both arrays.
   require(n >= 0 && n.toLong * wordsPerRow <= Int.MaxValue,
     s"a ${n}x$n BitMatrix needs ${n.toLong * wordsPerRow} words and ${n.toLong * indexPerRow} index words, " +
@@ -27,8 +28,8 @@ final class BitMatrix(val n: Int) extends Serializable {
   private var count = 0L
 
   private def occupy(i: Int): Unit = rowOcc(i >>> 6) |= 1L << (i & 63)
-  /** Records that word `w` of row `i` is non-zero. */
-  private def mark(i: Int, w: Int): Unit = wordOcc(i * indexPerRow + (w >>> 6)) |= 1L << (w & 63)
+  /** Records that word `w` of row `i` is non-zero, where the matrix keeps a word index. */
+  private def mark(i: Int, w: Int): Unit = if (indexPerRow > 0) wordOcc(i * indexPerRow + (w >>> 6)) |= 1L << (w & 63)
   private def occupied(i: Int): Boolean = (rowOcc(i >>> 6) & (1L << (i & 63))) != 0
 
   def apply(i: Int, j: Int): Boolean =
@@ -171,18 +172,6 @@ object BitMatrix {
 
   object Delta {
 
-    /** The cells of `m`, which must be square. */
-    def apply(m: BoolCSR): Delta = {
-      require(m.numRows == m.numCols, s"a Delta is square, not ${m.numRows}x${m.numCols}")
-      val out = new DeltaWriter(m.numRows)
-      var i = 0
-      while (i < m.numRows) {
-        out.columns(i, m.colIdx, m.rowPtr(i), m.rowPtr(i + 1))
-        i += 1
-      }
-      out.result()
-    }
-
     /** The cells of `m`. */
     def apply(m: BitMatrix): Delta = {
       val out = new DeltaWriter(m.n)
@@ -208,6 +197,15 @@ object BitMatrix {
     * matrix's own, from its width.
     */
   private[linalg] def straight(words: Int): Boolean = words <= 32
+
+  /** The longs of the word index per row of a matrix `words` words wide: none where its rows are read [[straight]]. */
+  private def indexPerRow(words: Int): Int = if (straight(words)) 0 else (words + 63) >>> 6
+
+  /** The longs an n×n matrix holds: its words and its word index. */
+  private[repro] def longs(n: Int): Long = {
+    val words = ((n.toLong + 63) >>> 6).toInt
+    n.toLong * (words + indexPerRow(words))
+  }
 
   /** The word after `w` (the first one for `w = -1`) that a walk over a row
     * of `words` words reads, given the bitmap `index(from until from +
@@ -281,21 +279,6 @@ object BitMatrix {
       end = ptr(size)
     }
 
-    /** Row `i` given as the ascending, distinct columns `cols(from until until)`. */
-    def columns(i: Int, cols: Array[Int], from: Int, until: Int): Unit = if (until > from) {
-      val c = until - from
-      if (c >= wpr) {
-        add(i, c, wpr)
-        var q = from // `data` past `end` is still zero
-        while (q < until) { data(end + (cols(q) >>> 6)) |= 1L << (cols(q) & 63); q += 1 }
-      } else {
-        add(i, c, c)
-        var q = from
-        while (q < until) { data(end + q - from) = cols(q); q += 1 }
-      }
-      end = ptr(size)
-    }
-
     def result(): Delta = {
       val rank = new Array[Int](wpr)
       var w = 1
@@ -334,7 +317,7 @@ object BitMatrix {
     val rs = right.map(_._2).toArray
     val next = new Array[Int](ls.length) // per left term: the index of its next row in `rows`
     val acc = new Array[Long](wpr)
-    val touched = new Array[Long](ipr) // bit w set if acc(w) was written since the last row
+    val touched = new Array[Long]((wpr + 63) >>> 6) // bit w set if acc(w) was written since the last row
     val wide = !straight(wpr) // else every walk reads every word, so `touched` is not kept
     val out = new DeltaWriter(n)
 
@@ -425,7 +408,7 @@ object BitMatrix {
         w = nextWord(touched, 0, wpr, -1)
         while (w < wpr) { acc(w) = 0; w = nextWord(touched, 0, wpr, w) }
         var x = 0
-        while (x < ipr) { touched(x) = 0; x += 1 }
+        while (x < touched.length) { touched(x) = 0; x += 1 }
       }
       i += 1
     }

@@ -43,8 +43,10 @@ final class BoolCSR private (val numRows: Int,
   def multiply(that: BoolCSR): BoolCSR = BoolCSR.multiplyMasked(Seq(this -> that), None)
 
   /** Boolean union (elementwise OR). The output is allocated once at
-    * `nnz + that.nnz` cells; a row with cells on one side only is copied
-    * whole, a row with cells on both is merged without duplicates, and the
+    * `nnz + that.nnz` cells. Each run of rows that `that` leaves empty is
+    * copied with one `System.arraycopy`, its row offsets shifted by a
+    * constant; a row that `that` holds cells in is merged, duplicates
+    * dropped, because SparkBlock unions overlapping copies of a tile. The
     * output is trimmed only if the operands overlapped.
     */
   def union(that: BoolCSR): BoolCSR = {
@@ -55,18 +57,28 @@ final class BoolCSR private (val numRows: Int,
     var w = 0
     var i = 0
     while (i < numRows) {
-      var p = rowPtr(i); var q = that.rowPtr(i)
-      val pe = rowPtr(i + 1); val qe = that.rowPtr(i + 1)
-      while (p < pe && q < qe) {
-        val a = colIdx(p); val b = that.colIdx(q)
-        if (a <= b) { out(w) = a; p += 1; if (a == b) q += 1 }
-        else { out(w) = b; q += 1 }
-        w += 1
+      var e = i
+      while (e < numRows && that.rowPtr(e + 1) == that.rowPtr(i)) e += 1
+      if (e > i) { // rows i until e hold no cell of `that`
+        val shift = w - rowPtr(i)
+        System.arraycopy(colIdx, rowPtr(i), out, w, rowPtr(e) - rowPtr(i))
+        while (i < e) { outPtr(i + 1) = rowPtr(i + 1) + shift; i += 1 }
+        w = outPtr(e)
       }
-      System.arraycopy(colIdx, p, out, w, pe - p); w += pe - p
-      System.arraycopy(that.colIdx, q, out, w, qe - q); w += qe - q
-      outPtr(i + 1) = w
-      i += 1
+      if (i < numRows) {
+        var p = rowPtr(i); var q = that.rowPtr(i)
+        val pe = rowPtr(i + 1); val qe = that.rowPtr(i + 1)
+        while (p < pe && q < qe) {
+          val a = colIdx(p); val b = that.colIdx(q)
+          if (a <= b) { out(w) = a; p += 1; if (a == b) q += 1 }
+          else { out(w) = b; q += 1 }
+          w += 1
+        }
+        System.arraycopy(colIdx, p, out, w, pe - p); w += pe - p
+        System.arraycopy(that.colIdx, q, out, w, qe - q); w += qe - q
+        outPtr(i + 1) = w
+        i += 1
+      }
     }
     new BoolCSR(numRows, numCols, outPtr, if (w == out.length) out else java.util.Arrays.copyOf(out, w))
   }
@@ -87,14 +99,34 @@ final class BoolCSR private (val numRows: Int,
 
 object BoolCSR {
 
+  /** The flops per accumulator word from which a row is [[heavy]]. A
+    * heavy row pays one OR per flop where a light row pays a stamp test per
+    * flop and a sort of its cells; it then emits its cells in order by a
+    * scan of at most `⌈numCols/64⌉` words, which at 2 flops per word is at
+    * most one word read per two flops. In same-JVM probes of funding/Q1
+    * solves the kernel's time at 1, 2 and 4 flops per word differed by at
+    * most 5%.
+    */
+  private val HeavyFlopsPerWord = 2
+
+  /** Whether a row of `flops` products into `words` accumulator words is built in a word array. */
+  private[linalg] def heavy(flops: Long, words: Int): Boolean = flops >= HeavyFlopsPerWord.toLong * words
+
   /** Complement-masked sum of products, `C⟨¬mask⟩ = ⋃_{(a, b) ∈ terms} a × b`
     * (GraphBLAS's masked `mxm`): the cells of the summed products that are
     * not in `mask`.
     *
-    * Fused SpGEMM: one sparse accumulator per output row serves every term
-    * (a stamp array plus a list of the columns touched, sorted on emit).
-    * The mask row is stamped first, so a known cell is never added, and a
-    * row whose left operands are all empty is skipped.
+    * Fused SpGEMM: one accumulator per output row serves every term, chosen
+    * per row from the row's flops, `Σ |b row k|` over its cells `k` in each
+    * term's `a`, as SuiteSparse's `saxpy3` chooses between Gustavson's and
+    * a hash accumulator (Nagasaka et al., Parallel Computing 2019):
+    *  - a [[heavy]] row ORs its products into a word array, clears the mask
+    *    row's bits, and emits the set bits of the words between its least
+    *    and greatest product column in ascending order, zeroing each word;
+    *  - a light row stamps the mask row first, so a known cell is never
+    *    added, then stamps each product, lists the columns it stamped, and
+    *    sorts them on emit.
+    * A row with no flops is skipped.
     */
   def multiplyMasked(terms: Seq[(BoolCSR, BoolCSR)], mask: Option[BoolCSR]): BoolCSR = {
     require(terms.nonEmpty, "multiplyMasked needs at least one term")
@@ -107,39 +139,77 @@ object BoolCSR {
     val as = terms.map(_._1).toArray
     val bs = terms.map(_._2).toArray
     val m = mask.orNull
-    // stamp(j) == i + 1: column j is already in row i (masked or added).
+    val words = (numCols + 63) >>> 6
+    val acc = new Array[Long](words) // a heavy row's cells; zero between rows
+    // stamp(j) == i + 1: column j is already in light row i (masked or added).
     val stamp = new Array[Int](numCols)
-    val touched = new Array[Int](numCols)
+    val cols = new Array[Int](numCols) // the row's columns
     val outPtr = new Array[Int](numRows + 1)
     val out = new mutable.ArrayBuilder.ofInt
     var i = 0
     while (i < numRows) {
+      var flops = 0L
       var t = 0
-      while (t < as.length && as(t).rowPtr(i) == as(t).rowPtr(i + 1)) t += 1
+      while (t < as.length) {
+        val a = as(t); val b = bs(t)
+        var p = a.rowPtr(i)
+        while (p < a.rowPtr(i + 1)) { val k = a.colIdx(p); flops += b.rowPtr(k + 1) - b.rowPtr(k); p += 1 }
+        t += 1
+      }
       var cnt = 0
-      if (t < as.length) {
-        val mark = i + 1
-        if (m != null) {
-          var p = m.rowPtr(i)
-          while (p < m.rowPtr(i + 1)) { stamp(m.colIdx(p)) = mark; p += 1 }
-        }
-        while (t < as.length) {
-          val a = as(t); val b = bs(t)
-          var p = a.rowPtr(i)
-          while (p < a.rowPtr(i + 1)) {
-            val k = a.colIdx(p)
-            var q = b.rowPtr(k)
-            while (q < b.rowPtr(k + 1)) {
-              val j = b.colIdx(q)
-              if (stamp(j) != mark) { stamp(j) = mark; touched(cnt) = j; cnt += 1 }
-              q += 1
+      if (flops > 0) {
+        if (heavy(flops, words)) {
+          var lo = numCols; var hi = -1 // the least and greatest product column
+          t = 0
+          while (t < as.length) {
+            val a = as(t); val b = bs(t)
+            var p = a.rowPtr(i)
+            while (p < a.rowPtr(i + 1)) {
+              val k = a.colIdx(p)
+              var q = b.rowPtr(k); val e = b.rowPtr(k + 1)
+              if (q < e) { lo = math.min(lo, b.colIdx(q)); hi = math.max(hi, b.colIdx(e - 1)) }
+              while (q < e) { val j = b.colIdx(q); acc(j >>> 6) |= 1L << (j & 63); q += 1 }
+              p += 1
             }
-            p += 1
+            t += 1
           }
-          t += 1
+          if (m != null) {
+            var p = m.rowPtr(i)
+            while (p < m.rowPtr(i + 1)) { val j = m.colIdx(p); acc(j >>> 6) &= ~(1L << (j & 63)); p += 1 }
+          }
+          var w = lo >>> 6
+          val last = hi >>> 6
+          while (w <= last) {
+            var word = acc(w)
+            acc(w) = 0
+            while (word != 0) { cols(cnt) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word); cnt += 1; word &= word - 1 }
+            w += 1
+          }
+        } else {
+          val mark = i + 1
+          if (m != null) {
+            var p = m.rowPtr(i)
+            while (p < m.rowPtr(i + 1)) { stamp(m.colIdx(p)) = mark; p += 1 }
+          }
+          t = 0
+          while (t < as.length) {
+            val a = as(t); val b = bs(t)
+            var p = a.rowPtr(i)
+            while (p < a.rowPtr(i + 1)) {
+              val k = a.colIdx(p)
+              var q = b.rowPtr(k)
+              while (q < b.rowPtr(k + 1)) {
+                val j = b.colIdx(q)
+                if (stamp(j) != mark) { stamp(j) = mark; cols(cnt) = j; cnt += 1 }
+                q += 1
+              }
+              p += 1
+            }
+            t += 1
+          }
+          java.util.Arrays.sort(cols, 0, cnt)
         }
-        java.util.Arrays.sort(touched, 0, cnt)
-        out.addAll(touched, 0, cnt)
+        out.addAll(cols, 0, cnt)
       }
       outPtr(i + 1) = outPtr(i) + cnt
       i += 1

@@ -52,7 +52,7 @@ class BitMatrixSpec extends AnyFunSuite {
 
   /** The cells of `d`, row-major ascending. */
   private def pairs(d: BitMatrix.Delta): Vector[(Int, Int)] = { val m = new BitMatrix(d.n); m.orInPlace(d); m.toPairs }
-  private def delta(n: Int, cells: Seq[(Int, Int)]) = BitMatrix.Delta(BoolCSR.fromPairs(n, n, cells))
+  private def delta(n: Int, cells: Seq[(Int, Int)]) = BitMatrix.Delta(BitMatrix.fromPairs(n, cells))
 
   test("multiplyMasked sums the terms' products and leaves out the mask's cells") {
     val a = delta(70, Seq((0, 1), (2, 69)))

@@ -81,6 +81,29 @@ class BoolCSRSpec extends AnyFunSuite with PropertyChecks {
     assert(a.union(b).toPairs.toSet == Set((0, 0), (0, 1), (0, 2), (1, 0)))
   }
 
+  test("union at the ends of the runs of rows that `that` leaves empty") {
+    val (rows, cols) = (9, 70)
+    val full = (0 until rows).flatMap(i => Seq((i, i), (i, 64 + i % 6))).toSet // a cell or two in every row
+    val gaps = full.filter(c => c._1 % 3 != 1) // rows 1, 4 and 7 empty
+    def union(a: Set[(Int, Int)], b: Set[(Int, Int)]) = BoolCSR.fromPairs(rows, cols, a).union(BoolCSR.fromPairs(rows, cols, b))
+    val cases = Seq(
+      "that empty" -> Set.empty[(Int, Int)],
+      "first row only" -> Set((0, 5)),
+      "last row only" -> Set((rows - 1, 69)),
+      "first and last rows" -> Set((0, 69), (rows - 1, 0)),
+      "alternating with runs" -> Set((1, 0), (2, 3), (2, 66), (5, 69), (7, 7)),
+      "every row" -> (0 until rows).map(i => (i, 40)).toSet,
+      "overlapping" -> (full.filter(_._1 % 2 == 0) ++ Set((2, 30), (8, 1))),
+    )
+    for (a <- Seq(full, gaps, Set.empty[(Int, Int)]); (what, b) <- cases) {
+      val expected = BoolCSR.fromPairs(rows, cols, a ++ b) // structurally: same rowPtr and colIdx, no duplicate kept
+      assert(union(a, b) == expected, s"$what, ${a.size} cells on the left")
+      assert(union(b, a) == expected, s"$what, swapped, ${a.size} cells on the right")
+    }
+    // SparkBlock's driver unions two partitions' copies of the same tile.
+    assert(union(full, full) == BoolCSR.fromPairs(rows, cols, full) && union(gaps, gaps).nnz == gaps.size)
+  }
+
   test("equals/hashCode are structural") {
     val a = BoolCSR.fromPairs(2, 2, Seq((0, 1)))
     val b = BoolCSR.fromPairs(2, 2, Seq((0, 1)))

@@ -17,6 +17,8 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
     // Rows of every T the kernel read, by the side of BitMatrix's straight/indexed switch: (straight, indexed),
     // and the indexed rows with a non-zero word in the second long of their word index.
     var sides = (0, 0, 0)
+    // Rows of the BoolCSR kernel's output by accumulator: (heavy, light).
+    var accumulators = (0, 0)
     def read(n: Int, cells: Set[(Int, Int)]): BitMatrix = {
       val (s, i, wide) = rowSides(n, cells)
       sides = (sides._1 + s, sides._2 + i, sides._3 + wide)
@@ -25,9 +27,11 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
     checkProperty(Prop.forAllNoShrink(genCase) { c =>
       val expected = c.product -- c.mask
       val csrTerms = c.terms.map { case (a, b) => BoolCSR.fromPairs(c.n, c.n, a) -> BoolCSR.fromPairs(c.n, c.n, b) }
+      val (h, l) = rowAccumulators(csrTerms)
+      accumulators = (accumulators._1 + h, accumulators._2 + l)
       val csr = BoolCSR.multiplyMasked(csrTerms, Some(BoolCSR.fromPairs(c.n, c.n, c.mask)))
       // A left term is (Δ, T), a right term (T, Δ).
-      def delta(cells: Set[(Int, Int)]) = seen(BitMatrix.Delta(BoolCSR.fromPairs(c.n, c.n, cells)))
+      def delta(cells: Set[(Int, Int)]) = seen(BitMatrix.Delta(BitMatrix.fromPairs(c.n, cells)))
       val (left, right) = c.terms.zip(c.leftSide).partitionMap { case ((a, b), isLeft) =>
         if (isLeft) Left(delta(a) -> read(c.n, b)) else Right(read(c.n, a) -> delta(b))
       }
@@ -44,6 +48,7 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
     }, seed = 20190L)
     assert(forms._1 > 0 && forms._2 > 0, s"rows by form (words, columns): $forms")
     assert(sides._1 > 0 && sides._2 > 0 && sides._3 > 0, s"rows by side (straight, indexed, indexed past word 63): $sides")
+    assert(accumulators._1 > 0 && accumulators._2 > 0, s"BoolCSR rows by accumulator (heavy, light): $accumulators")
   }
 }
 
@@ -64,6 +69,19 @@ object MaskedKernelPropertySpec {
     val lastWords = cells.groupMapReduce(_._1)(_._2 >>> 6)(math.max).values
     if (BitMatrix.straight((n + 63) / 64)) (lastWords.size, 0, 0)
     else (0, lastWords.size, lastWords.count(_ >= 64))
+  }
+
+  /** The rows with products of `BoolCSR.multiplyMasked(terms, _)` by
+    * accumulator, (heavy, light), as `BoolCSR.heavy` tells them from a
+    * row's flops, `Σ |b row k|` over its cells `k` in each term's `a`.
+    */
+  def rowAccumulators(terms: Seq[(BoolCSR, BoolCSR)]): (Int, Int) = {
+    val words = (terms.head._2.numCols + 63) / 64
+    val flops = (0 until terms.head._1.numRows).map { i =>
+      terms.map { case (a, b) => (a.rowPtr(i) until a.rowPtr(i + 1)).map(p => b.rowPtr(a.colIdx(p) + 1) - b.rowPtr(a.colIdx(p))).sum.toLong }.sum
+    }.filter(_ > 0)
+    val heavy = flops.count(BoolCSR.heavy(_, words))
+    (heavy, flops.size - heavy)
   }
 
   /** Square `n×n` terms and a mask; `leftSide(t)` puts term `t`'s `Δ` on
