@@ -6,8 +6,9 @@ import scala.annotation.tailrec
 
 /** The fixpoint loop of Algorithm 1 (lines 8–9): `T ← T ∪ (T·T)` until `T`
   * stops changing. Every optimized engine runs its closure through
-  * [[Closure.run]] and supplies only the step; [[NaiveSetMatrixCFPQ]], the
-  * literal reference, iterates its set matrices itself.
+  * [[Closure.run]] and supplies only the step, which the semi-naive ones
+  * form with [[Closure.fresh]]; [[NaiveSetMatrixCFPQ]], the literal
+  * reference, iterates its set matrices itself.
   */
 object Closure {
 
@@ -33,22 +34,32 @@ object Closure {
     }
     loop(init, Vector.empty)
   }
+
+  /** One semi-naive step's new cells (Bancilhon & Ramakrishnan 1986), `Δ'_A =
+    * (⋃_{A→BC} Δ_B × T_C ∪ T_B × Δ_C) ∖ T_A` for every left-hand side `A`: one
+    * `multiplyMasked(left, right, mask)` call over the pre-step `t` and `Δ`, the
+    * cells new in the last step (`Δ₀ = T₀`; absent is empty). As `(T ∪ Δ)·(T ∪ Δ)`
+    * adds to `T ∪ Δ` what `Δ·(T ∪ Δ) ∪ (T ∪ Δ)·Δ` adds when `T·T ⊆ T ∪ Δ`, the
+    * iterates are Algorithm 1's and `|Δ'_A|` is what the step adds to `A`.
+    *
+    * @return `(A, Δ'_A, |Δ'_A|)` for every non-empty `Δ'_A`
+    */
+  def fresh[M, D](rulesByLhs: Map[String, Seq[(String, String, String)]], t: String => M, delta: Map[String, D])(
+      multiplyMasked: (Seq[(D, M)], Seq[(M, D)], M) => D, deltaCells: D => Long): Seq[(String, D, Long)] =
+    for {
+      (a, rules) <- rulesByLhs.toSeq
+      left = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) }
+      right = rules.flatMap { case (_, b, c) => delta.get(c).map(t(b) -> _) }
+      if left.nonEmpty || right.nonEmpty
+      d = multiplyMasked(left, right, t(a))
+      n = deltaCells(d) if n > 0
+    } yield (a, d, n)
 }
 
-/** Algorithm 1 over one local Boolean matrix `M_A` per nonterminal,
-  * evaluated semi-naively (Bancilhon & Ramakrishnan 1986). With `Δ` the
-  * cells new in the last step (`Δ₀ = T₀`), one closure step computes, for
-  * every left-hand side `A`,
-  * `Δ'_A = (⋃_{A→BC} Δ_B × M_C ∪ M_B × Δ_C) ∖ M_A` in one masked kernel
-  * call against the pre-iteration `T`, and then `M_A ← M_A ∪ Δ'_A`.
-  *
-  * The iterates are Algorithm 1's: with `T` the previous iterate, `T ∪ Δ`
-  * the current one and `T·T ⊆ T ∪ Δ`, the naive product
-  * `(T ∪ Δ)·(T ∪ Δ)` adds to `T ∪ Δ` exactly what `Δ·(T ∪ Δ) ∪ (T ∪ Δ)·Δ`
-  * adds. So the iteration count is the naive one, and a step reports
-  * `|Δ'_A|` as what it added to `A` (`Δ'` empty ⇔ no change). Engines
-  * supply only the kernel and the two representations: `M` for `T`, `D`
-  * for `Δ` and `Δ'`.
+/** Algorithm 1 over one local Boolean matrix `M_A` per nonterminal, evaluated
+  * semi-naively: a step is [[Closure.fresh]] against the pre-iteration `T`,
+  * then `M_A ← M_A ∪ Δ'_A`. Engines supply only the kernel and the two
+  * representations: `M` for `T`, `D` for `Δ` and `Δ'`.
   */
 abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
 
@@ -74,14 +85,7 @@ abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
     // State: T and the non-empty Δs (an absent Δ is empty).
     val start = (t0.map { case (nt, (m, _)) => nt -> m }, t0.collect { case (nt, (_, d)) if deltaCells(d) > 0 => nt -> d })
     val ((t, _), added) = Closure.run(start)() { case (t, delta) =>
-      val fresh = for {
-        (a, rules) <- rulesByLhs.toSeq
-        left = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) }
-        right = rules.flatMap { case (_, b, c) => delta.get(c).map(t(b) -> _) }
-        if left.nonEmpty || right.nonEmpty
-        d = multiplyMasked(left, right, t(a))
-        n = deltaCells(d) if n > 0
-      } yield (a, d, n)
+      val fresh = Closure.fresh(rulesByLhs, t, delta)(multiplyMasked, deltaCells)
       ((t ++ fresh.map { case (a, d, _) => a -> union(t(a), d) }, fresh.map { case (a, d, _) => a -> d }.toMap),
         fresh.map { case (a, _, n) => a -> n }.toMap)
     }

@@ -19,12 +19,12 @@ import repro.linalg.BoolCSR
   * The closure is [[LocalMatrixCFPQ]]'s semi-naive step with `T` kept in
   * place: `T` is persisted once, each tile on the partitions of its block
   * row and of its block column, and only `Δ` moves, broadcast from the
-  * driver. A step absorbs `Δ` into `T` and collects
-  * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A` from it: one Spark job with
-  * no shuffle, and reports `Δ'`'s tile `nnz` summed per nonterminal. The
-  * work per partition is the companion's plain [[SparkBlockCFPQ.absorb]]
-  * and [[SparkBlockCFPQ.step]]; Spark only schedules them. The driver keeps
-  * every `Δ`, so the result `T₀ ∪ ⋃ Δ` needs no further job.
+  * driver. A step absorbs `Δ` into `T` and collects [[Closure.fresh]]'s `Δ'`
+  * from it: one Spark job with no shuffle, and reports `Δ'`'s tile `nnz`
+  * summed per nonterminal. The work per partition is the companion's plain
+  * [[SparkBlockCFPQ.absorb]] and [[SparkBlockCFPQ.step]]; Spark only
+  * schedules them. The driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ`
+  * needs no further job.
   *
   * @param spark     session to run on
   * @param blockSize side of square tiles; small graphs collapse to one
@@ -109,33 +109,29 @@ object SparkBlockCFPQ {
     }
 
   /** One semi-naive step on partition `p` of `parts`, over `local ⊇ Δ`
-    * placed by [[absorb]]: its non-empty tiles of
-    * `Δ' = (⋃_{A→BC} T_B·Δ_C ∪ Δ_B·T_C) ∖ T_A`, one masked kernel call per
-    * output tile. An output tile made on two partitions comes out of both;
-    * the caller unions the copies.
+    * placed by [[absorb]]: its non-empty tiles of [[Closure.fresh]]'s `Δ'`,
+    * one masked kernel call per output tile. An output tile made on two
+    * partitions comes out of both; the caller unions the copies.
     */
   private[repro] def step(p: Int, parts: Int, local: Tiles, delta: Tiles, grammar: CnfGrammar): Tiles = {
-    val dByRow = delta.toSeq.groupMap { case ((nt, k, _), _) => (nt, k) } { case ((_, _, bj), m) => bj -> m }
-    val dByCol = delta.toSeq.groupMap { case ((nt, _, k), _) => (nt, k) } { case ((_, bi, _), m) => bi -> m }
-    // Row terms only from the tiles of block rows ≡ p, column terms only
-    // from those of block columns ≡ p: each term is then made once, and
-    // where its output tile's mask T_A(bi, bj) is held, as the output
-    // shares the operand's block row (or column). Taken from every local
-    // tile, a tile held twice would make its terms twice, once without
-    // the mask. Where bi ≡ bj, both kinds of term meet in one call.
-    val rowTerms = for {
-      ((b, bi, k), tb) <- local.iterator if bi % parts == p
-      (a, c) <- grammar.byFirst.getOrElse(b, Nil)
-      (bj, dc) <- dByRow.getOrElse((c, k), Nil)
-    } yield (a, bi, bj) -> (tb, dc)
-    val colTerms = for {
-      ((c, k, bj), tc) <- local.iterator if bj % parts == p
-      (a, b) <- grammar.bySecond.getOrElse(c, Nil)
-      (bi, db) <- dByCol.getOrElse((b, k), Nil)
-    } yield (a, bi, bj) -> (db, tc)
-    (rowTerms ++ colTerms).toSeq.groupMap(_._1)(_._2).flatMap { case (key, ts) =>
-      val m = BoolCSR.multiplyMasked(ts, local.get(key))
-      if (m.nnz == 0) None else Some(key -> m)
+    type Blocks = Map[(Int, Int), BoolCSR] // one nonterminal's tiles by block row and column
+    def byNt(tiles: Tiles): Map[String, Blocks] =
+      tiles.toSeq.groupMap(_._1._1) { case ((_, bi, bj), m) => (bi, bj) -> m }.map { case (nt, ms) => nt -> ms.toMap }
+    // The tile products x(bi,k)·y(k,bj) of a term (x, y) whose output tile is kept.
+    def products(keep: (Int, Int) => Boolean)(term: (Blocks, Blocks)) = {
+      val xByCol = term._1.toSeq.groupMap(_._1._2) { case ((bi, _), m) => bi -> m }
+      for (((k, bj), y) <- term._2.iterator; (bi, x) <- xByCol.getOrElse(k, Nil) if keep(bi, bj)) yield (bi, bj) -> (x, y)
     }
+    // Left terms Δ_B·T_C only into block columns ≡ p and right terms T_B·Δ_C
+    // only into block rows ≡ p, as their T tile lies: each tile product is then
+    // made once, where its mask T_A(bi, bj) is held (made wherever its operands
+    // are, it would also come out unmasked). Where bi ≡ bj both kinds meet.
+    def kernel(left: Seq[(Blocks, Blocks)], right: Seq[(Blocks, Blocks)], mask: Blocks): Blocks =
+      (left.iterator.flatMap(products((_, bj) => bj % parts == p)) ++ right.iterator.flatMap(products((bi, _) => bi % parts == p)))
+        .toSeq.groupMap(_._1)(_._2).map { case (tile, ts) => tile -> BoolCSR.multiplyMasked(ts, mask.get(tile)) }
+        .filter(_._2.nnz > 0)
+    val fresh = Closure.fresh(grammar.binary.groupBy(_._1), byNt(local).withDefaultValue(Map.empty), byNt(delta))(
+      kernel, _.valuesIterator.map(_.nnz.toLong).sum)
+    fresh.iterator.flatMap { case (a, d, _) => d.map { case ((bi, bj), m) => (a, bi, bj) -> m } }.toMap
   }
 }

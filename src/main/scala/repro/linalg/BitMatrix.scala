@@ -227,13 +227,14 @@ object BitMatrix {
       }
     }
 
-  /** Writes a [[Delta]] row by row, in ascending row order. Its arrays
-    * grow by doubling and are handed over untrimmed.
+  /** Writes a [[Delta]] row by row, in ascending row order. Its row arrays
+    * are sized for all `n` rows, its `data` grows by doubling, and all are
+    * handed over untrimmed.
     */
   private final class DeltaWriter(n: Int) {
     private val wpr = (n + 63) >>> 6
-    private var rows = new Array[Int](16)
-    private var ptr = new Array[Int](17)
+    private val rows = new Array[Int](n)
+    private val ptr = new Array[Int](n + 1)
     private var data = new Array[Long](64)
     private val occ = new Array[Long](wpr)
     private var size = 0 // rows so far
@@ -242,10 +243,6 @@ object BitMatrix {
 
     /** Makes room for row `i` of `c` cells taking `len` words of `data`. */
     private def add(i: Int, c: Int, len: Int): Unit = {
-      if (size == rows.length) {
-        rows = java.util.Arrays.copyOf(rows, 2 * size)
-        ptr = java.util.Arrays.copyOf(ptr, 2 * size + 1)
-      }
       if (end + len > data.length) data = java.util.Arrays.copyOf(data, math.max(2 * data.length, end + len))
       rows(size) = i
       size += 1

@@ -10,7 +10,9 @@ import repro.graph.LabeledGraph
   * ([[NaiveSetMatrixCFPQ]]) on generated labeled graphs × generated CNF
   * grammars: equal relations, iteration counts and cells added per step.
   * Hellings and GLL give the same relations. Renaming the nodes renames
-  * Dense's and SparseCSR's relations and changes nothing else. Every engine
+  * Dense's and SparseCSR's relations and changes nothing else; `k` disjoint
+  * copies of a graph give `k` copies of every relation and `k` times each
+  * step's growth on Dense, SparseCSR and SparkBlock. Every engine
   * but the reference returns its relations as [[Relation]]s, which must
   * equal the reference's `Set`s.
   */
@@ -51,6 +53,24 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
           Prop(p.iterations == r.iterations && p.added == r.added) :| s"${e.name}: iterations or growth changed by $perm"
       }.reduce(_ && _)
     }, seed = 1729L, successes = 150)
+  }
+
+  test("k disjoint copies of a graph copy every relation, multiply every step's growth by k and keep iterations on Dense, SparseCSR and SparkBlock (generated graphs x CNF grammars, k = 2, 3)") {
+    checkProperty(Prop.forAllNoShrink(genGraph, genGrammar, Gen.choose(2, 3), Gen.choose(1, 3)) { (graph, cnf, k, bs) =>
+      val n = graph.numNodes
+      // Block sizes 1–3: the copies span several blocks, and a block can straddle two copies.
+      Seq(DenseCFPQ, SparseCFPQ, new SparkBlockCFPQ(spark, bs)).map { e =>
+        val (r, p) = (e.solve(graph, cnf), e.solve(graph.repeat(k), cnf))
+        val copies = r.relations.map { case (nt, rel) =>
+          nt -> (0 until k).flatMap(c => rel.map { case (s, d) => (s + c * n, d + c * n) }).toSet
+        }
+        val name = s"${e.name}, k=$k, blockSize $bs"
+        Prop(p.relations == copies) :| s"$name: relations are not $k copies" &&
+          Prop(p.relations.forall { case (nt, rel) => rel.size == k * r.count(nt) }) :| s"$name: |R_A| not multiplied by $k" &&
+          Prop(p.iterations == r.iterations) :| s"$name: iterations ${p.iterations} vs ${r.iterations}" &&
+          Prop(p.added == r.added.map(_.map { case (nt, c) => nt -> k * c })) :| s"$name: growth ${p.added} vs ${r.added}"
+      }.reduce(_ && _)
+    }, seed = 1988L, successes = 40)
   }
 
   test("SparkBlock equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted (block sizes 1, 2, 3, 16)") {

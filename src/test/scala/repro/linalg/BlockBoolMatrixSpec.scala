@@ -1,7 +1,10 @@
 package repro.linalg
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertyChecks
 import repro.cfg.CnfGrammar
+import repro.core.Closure
 import repro.core.SparkBlockCFPQ._
 import scala.util.Random
 
@@ -10,7 +13,7 @@ import scala.util.Random
   * `absorb` and `step` are plain functions of one partition's tile map, so
   * these tests run them over every partition `p` without Spark.
   */
-class BlockBoolMatrixSpec extends AnyFunSuite {
+class BlockBoolMatrixSpec extends AnyFunSuite with PropertyChecks {
 
   private val selfRule = Seq(("A", "A", "A")) // A -> A A: plain Boolean square
 
@@ -150,5 +153,35 @@ class BlockBoolMatrixSpec extends AnyFunSuite {
       assert(stepCells(bs, t, delta, rules, parts) == local(delta), s"n=$n bs=$bs P=$parts")
       assert(stepCells(bs, t, t, rules, parts) == local(t), s"n=$n bs=$bs P=$parts, Δ = T")
     }
+  }
+
+  /** 2–3 nonterminals with random `A → BC` rules over them, random `T ⊇ Δ`
+    * on at most 12 nodes, a block size of 1–3 and 1–3 partitions.
+    */
+  private val genStep = for {
+    k <- Gen.choose(2, 3)
+    nts = Seq("A", "B", "C").take(k)
+    rules <- Gen.nonEmptyListOf(Gen.zip(Gen.oneOf(nts), Gen.oneOf(nts), Gen.oneOf(nts))).map(_.distinct)
+    n <- Gen.choose(1, 12)
+    density <- Gen.choose(0.05, 0.4)
+    cells = Gen.listOfN(n * n, Gen.prob(density)).map(_.zipWithIndex.collect { case (true, c) => (c / n, c % n) })
+    t <- Gen.listOfN(k, cells)
+    delta <- Gen.sequence[List[Seq[(Int, Int)]], Seq[(Int, Int)]](t.map(Gen.someOf(_).map(_.toSeq)))
+    bs <- Gen.choose(1, 3)
+    parts <- Gen.choose(1, 3)
+  } yield (rules, n, nts.zip(t).toMap, nts.zip(delta).toMap, bs, parts)
+
+  test("generated tile step: the gathered step equals Closure.fresh over untiled BoolCSRs and holds no cell of T") {
+    checkProperty(Prop.forAllNoShrink(genStep) { case (rules, n, t, delta, bs, parts) =>
+      def csr(m: Map[String, Seq[(Int, Int)]]) = m.map { case (nt, ps) => nt -> BoolCSR.fromPairs(n, n, ps) }
+      // SparseCSR's kernel over the whole matrices.
+      val local = Closure.fresh(rules.groupBy(_._1), csr(t), csr(delta.filter(_._2.nonEmpty)))(
+        (left, right, mask) => BoolCSR.multiplyMasked(left ++ right, Some(mask)), _.nnz.toLong)
+      val expected = local.map { case (a, d, _) => a -> d.toPairs.toSet }.toMap
+      val got = stepCells(bs, t, delta, rules, parts)
+      val at = s"n=$n bs=$bs P=$parts rules=$rules"
+      Prop(got == expected) :| s"$at: step $got, fresh $expected" &&
+        Prop(got.forall { case (a, cs) => !cs.exists(t(a).contains) }) :| s"$at: a cell of T in $got"
+    }, seed = 18L, successes = 500)
   }
 }
