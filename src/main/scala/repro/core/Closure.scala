@@ -13,8 +13,12 @@ import scala.annotation.tailrec
 object Closure {
 
   /** Applies `step` from `init` until a step adds nothing. `T` only grows,
-    * so a step that adds no cell leaves `T` unchanged.
+    * so a step that adds no cell leaves `T` unchanged, and the steps together
+    * add at most `T`'s `capacity` ([[Closure.capacity]]): a step that brings
+    * the sum past it re-reports cells, and the loop fails there, naming the
+    * step, instead of running forever.
     *
+    * @param capacity the most cells the steps may add in all, `|N|·n²`
     * @param release frees a state once `step` has built its successor (the
     *                Spark engines unpersist it); steps that update their
     *                state in place leave it out
@@ -25,14 +29,24 @@ object Closure {
     * @return the last state and each step's added cells, zero entries dropped:
     *         one map per iteration, the last one empty (§4.3: k = 6, T₆ = T₅)
     */
-  def run[S](init: S)(release: S => Unit = (_: S) => ())(step: S => (S, Map[String, Long])): (S, Seq[Map[String, Long]]) = {
-    @tailrec def loop(cur: S, added: Vector[Map[String, Long]]): (S, Seq[Map[String, Long]]) = {
+  def run[S](init: S, capacity: Long)(release: S => Unit = (_: S) => ())(
+      step: S => (S, Map[String, Long])): (S, Seq[Map[String, Long]]) = {
+    @tailrec def loop(cur: S, added: Vector[Map[String, Long]], sum: Long): (S, Seq[Map[String, Long]]) = {
       val (next, grown) = step(cur)
       release(cur)
       val nonZero = grown.filter(_._2 != 0)
-      if (nonZero.isEmpty) (next, added :+ nonZero) else loop(next, added :+ nonZero)
+      val total = sum + nonZero.values.sum
+      if (total > capacity) throw new IllegalStateException(
+        s"closure step ${added.length + 1} brings the cells added to $total, more than the $capacity cells T holds: a step re-reports cells")
+      if (nonZero.isEmpty) (next, added :+ nonZero) else loop(next, added :+ nonZero, total)
     }
-    loop(init, Vector.empty)
+    loop(init, Vector.empty, 0L)
+  }
+
+  /** `|N|·n²`, the most cells `T` holds over `graph`'s `n` nodes (at least 1). */
+  def capacity(graph: LabeledGraph, grammar: CnfGrammar): Long = {
+    val n = BigInt(math.max(graph.numNodes, 1))
+    (n * n * grammar.nonterminals.size).min(Long.MaxValue).toLong
   }
 
   /** One semi-naive step's new cells (Bancilhon & Ramakrishnan 1986), `Δ'_A =
@@ -84,7 +98,7 @@ abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
     val rulesByLhs = grammar.binary.groupBy(_._1)
     // State: T and the non-empty Δs (an absent Δ is empty).
     val start = (t0.map { case (nt, (m, _)) => nt -> m }, t0.collect { case (nt, (_, d)) if deltaCells(d) > 0 => nt -> d })
-    val ((t, _), added) = Closure.run(start)() { case (t, delta) =>
+    val ((t, _), added) = Closure.run(start, Closure.capacity(graph, grammar))() { case (t, delta) =>
       val fresh = Closure.fresh(rulesByLhs, t, delta)(multiplyMasked, deltaCells)
       ((t ++ fresh.map { case (a, d, _) => a -> union(t(a), d) }, fresh.map { case (a, d, _) => a -> d }.toMap),
         fresh.map { case (a, _, n) => a -> n }.toMap)

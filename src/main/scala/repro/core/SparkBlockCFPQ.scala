@@ -48,7 +48,7 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
     def free(tb: Placed): Unit = { tb._1.unpersist(blocking = false); tb._2.destroy() }
     // State: T without Δ yet (none before the first step) and Δ on the driver (Δ₀ = T₀).
     val (_, added) = try {
-      Closure.run((Option.empty[Placed], t0))(_._1.foreach(free)) { case (t, delta) =>
+      Closure.run((Option.empty[Placed], t0), Closure.capacity(graph, grammar))(_._1.foreach(free)) { case (t, delta) =>
         val d = sc.broadcast(delta)
         // The step's job stores T ∪ Δ and cuts its lineage, which then stays one step deep.
         val t2 = t.fold(empty)(_._1).mapPartitionsWithIndex((p, it) => it.map(absorb(p, parts, _, d.value)))

@@ -2,26 +2,28 @@ package repro.core
 
 import scala.collection.mutable.ListBuffer
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.broadcast
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import org.scalatest.BeforeAndAfterEach
 import repro.SparkSpec
 import repro.cfg.Queries
 import repro.graph.LabeledGraph
 
-/** SparkDF's materialization of a closure state: its rows are persisted and
-  * counted per nonterminal in one job ([[SparkDataFrameCFPQ.pin]]), and the
-  * next step's frame is rebuilt over them with
-  * `createDataset(rows)(encoder)`, as [[SparkDataFrameCFPQ.solve]] does.
-  * Runs Q1 on the paper's example.
+/** SparkDF's materialization of a closure state: its rows are packed into
+  * one block per partition, persisted and their fresh rows counted per
+  * nonterminal in one job ([[SparkDataFrameCFPQ.pin]]), and the next step's
+  * frame is rebuilt over the blocks ([[SparkDataFrameCFPQ.frame]]), as
+  * [[SparkDataFrameCFPQ.solve]] does. Runs Q1 on the paper's example.
   */
 class MaterializeSpec extends SparkSpec with BeforeAndAfterEach {
   import SparkDataFrameCFPQ._
 
   private val cnf = Queries.q1CnfPaper
   private val graph = LabeledGraph.paperExample
-  private val cached = ListBuffer.empty[RDD[Row]]
+  private val cached = ListBuffer.empty[RDD[Block]]
+  private val names = cnf.nonterminals.toIndexedSeq.sorted
+  private val id = names.zipWithIndex.toMap
+  private val rules = byB(cnf, id)
 
   override def afterEach(): Unit = {
     cached.foreach(_.unpersist(blocking = false))
@@ -29,43 +31,41 @@ class MaterializeSpec extends SparkSpec with BeforeAndAfterEach {
     super.afterEach()
   }
 
-  /** MatrixInit's cells as `(nt, src, dst)` rows: SparkDF's `T₀`. */
-  private val t0Cells: Seq[(String, Int, Int)] =
-    for ((nt, ps) <- MatrixInit.cells(graph, cnf).toSeq; (s, d) <- ps) yield (nt, s, d)
+  /** MatrixInit's cells as fresh `(nt, src, dst, fresh)` rows: SparkDF's `T₀`. */
+  private val t0Cells: Seq[(Int, Int, Int, Boolean)] =
+    for ((nt, ps) <- MatrixInit.cells(graph, cnf).toSeq; (s, d) <- ps) yield (id(nt), s, d, true)
 
   private def t0: DataFrame = {
     import spark.implicits._
-    t0Cells.toDF("nt", "src", "dst")
-  }
-
-  private def rules: DataFrame = {
-    import spark.implicits._
-    broadcast(cnf.binary.toDF("a", "b", "c"))
+    t0Cells.toDF("nt", "src", "dst", "fresh")
   }
 
   /** Pin a frame's rows and rebuild a frame over them, as SparkDF does. */
   private def pinFrame(df: DataFrame): (Map[String, Long], DataFrame) = {
-    val (rows, counts) = pin(df.rdd, cached)
-    (counts, spark.createDataset(rows)(df.encoder))
+    val (blocks, counts) = pin(df, names, cached)
+    (counts, frame(spark, blocks))
   }
 
-  /** Rows per nonterminal. */
-  private def countsOf(cells: Seq[(String, Int, Int)]): Map[String, Long] =
-    cells.groupMapReduce(_._1)(_ => 1L)(_ + _)
+  /** Fresh rows per nonterminal. */
+  private def countsOf(rows: Seq[(Int, Int, Int, Boolean)]): Map[String, Long] =
+    rows.filter(_._4).groupMapReduce(r => names(r._1))(_ => 1L)(_ + _)
 
-  private def triple(r: Row): (String, Int, Int) = (r.getString(0), r.getInt(1), r.getInt(2))
-
-  private def triples(df: DataFrame): Seq[(String, Int, Int)] = df.collect().toSeq.map(triple)
+  private def collected(df: DataFrame): Seq[(Int, Int, Int, Boolean)] =
+    df.collect().toSeq.map(r => (r.getInt(0), r.getInt(1), r.getInt(2), r.getBoolean(3)))
 
   test("frame preserves rows and reports the count") {
     val (counts0, frame0) = pinFrame(t0)
     assert(counts0.values.sum == 5) // Fig. 6: five cells
     assert(counts0 == countsOf(t0Cells))
-    assert(triples(frame0).sorted == t0Cells.sorted)
+    assert(collected(frame0).sorted == t0Cells.sorted)
     val (counts1, frame1) = pinFrame(step(frame0, rules))
-    val rows1 = triples(frame1)
-    assert(counts1 == countsOf(rows1) && rows1.distinct.size == rows1.size)
-    assert(t0Cells.toSet.subsetOf(rows1.toSet) && rows1.size > 5)
+    val rows1 = collected(frame1)
+    val cells1 = rows1.map(r => (r._1, r._2, r._3))
+    assert(counts1 == countsOf(rows1) && cells1.distinct.size == cells1.size)
+    // T₀'s cells are old now, and every other cell is fresh: the step's new cells.
+    val old = t0Cells.map(r => (r._1, r._2, r._3)).toSet
+    assert(rows1.forall(r => r._4 != old((r._1, r._2, r._3))))
+    assert(old.subsetOf(cells1.toSet) && rows1.size > 5)
   }
 
   test("frame truncates lineage: result plan does not reference the input plan") {
@@ -79,17 +79,22 @@ class MaterializeSpec extends SparkSpec with BeforeAndAfterEach {
   test("dataset round-trips typed data") {
     import spark.implicits._
     val (_, frame) = pinFrame(t0)
-    val got = frame.as[(String, Int, Int)].collect()
+    val got = frame.as[(Int, Int, Int, Boolean)].collect()
     assert(got.toSeq.sorted == t0Cells.sorted)
   }
 
   test("the count is the row count, and the input is computed once") {
+    import spark.implicits._
     val computed = spark.sparkContext.longAccumulator("rows computed")
-    val rdd = t0.rdd.map { r => computed.add(1); r }
-    val (rows, counts) = pin(rdd, cached)
+    val input = spark.createDataset(spark.sparkContext.parallelize(t0Cells, 2).map { r => computed.add(1); r })
+      .toDF("nt", "src", "dst", "fresh")
+    val (blocks, counts) = pin(input, names, cached)
     assert(counts.values.sum == 5 && counts == countsOf(t0Cells))
-    assert(cached.toSeq == Seq(rows) && rows.getStorageLevel == StorageLevel.MEMORY_AND_DISK)
-    assert(rows.collect().toSeq.map(triple).sorted == t0Cells.sorted)
+    assert(cached.toSeq == Seq(blocks) && blocks.getStorageLevel == StorageLevel.MEMORY_AND_DISK)
+    val packed = blocks.collect()
+    assert(packed.length == 2, "one block per partition")
+    val rows = packed.toSeq.flatMap { case (ntf, cells) => ntf.indices.map(i => (ntf(i) >> 1, cells(i), ntf(i) % 2 == 1)) }
+    assert(rows.sorted == t0Cells.map(r => (r._1, Relation.pack(r._2, r._3), r._4)).sorted)
     assert(computed.sum == 5) // counted and then read back from the cache
   }
 

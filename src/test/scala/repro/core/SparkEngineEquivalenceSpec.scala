@@ -7,11 +7,9 @@ import scala.jdk.CollectionConverters._
 import scala.util.Random
 import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.functions.broadcast
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.cfg.{CNF, Grammar, Queries}
+import repro.cfg.{CNF, CnfGrammar, Grammar, Queries}
 import repro.data.Datasets
 import repro.graph.LabeledGraph
 
@@ -137,17 +135,52 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
 
   test("SparkDF's lineage does not grow with the step count: the rows pinned after every step reach as many RDDs") {
     import spark.implicits._
-    val cached = ListBuffer.empty[RDD[Row]]
+    import SparkDataFrameCFPQ._
+    val cached = ListBuffer.empty[RDD[Block]]
     try {
+      val names = anbnCnf.nonterminals.toIndexedSeq.sorted
+      val id = names.zipWithIndex.toMap
       val t0 = MatrixInit.cells(anbn(4), anbnCnf).toSeq
-        .flatMap { case (nt, ps) => ps.map { case (s, d) => (nt, s, d) } }.toDF("nt", "src", "dst")
-      val rules = broadcast(anbnCnf.binary.toDF("a", "b", "c"))
-      val pinned = Iterator.iterate(SparkDataFrameCFPQ.pin(t0.rdd, cached)._1) { rows =>
-        SparkDataFrameCFPQ.pin(SparkDataFrameCFPQ.step(spark.createDataset(rows)(t0.encoder), rules).rdd, cached)._1
-      }.take(6).toSeq
+        .flatMap { case (nt, ps) => ps.map { case (s, d) => (id(nt), s, d, true) } }.toDF("nt", "src", "dst", "fresh")
+      val rules = byB(anbnCnf, id)
+      val pinned = Iterator.iterate(pin(t0, names, cached)._1)(rows => pin(step(frame(spark, rows), rules), names, cached)._1)
+        .take(6).toSeq
       val reached = pinned.map(ancestors(_).size)
       assert(reached.distinct.length == 1, reached.mkString(", "))
     } finally cached.foreach(_.unpersist(blocking = false))
+  }
+
+  test("SparkDF's rules lookup: a nonterminal that is no rule's B, rules sharing B or (B, C), an empty graph and no binary rules all equal NaiveSetMatrix") {
+    // Under ANSI mode, a missing key must still give null (no product), not an error.
+    assert(spark.conf.get("spark.sql.ansi.enabled") == "true")
+    val chain = LabeledGraph(Seq((0, "a", 1), (1, "b", 2), (1, "c", 3), (2, "b", 0), (3, "d", 4)))
+    val cases = Seq(
+      // S is no rule's B; nor is B, the second body symbol.
+      "no rule's B" -> CnfGrammar(Seq(("S", "A", "B")), Seq(("A", "a"), ("B", "b"))),
+      "two rules share B" -> CnfGrammar(Seq(("S", "A", "B"), ("R", "A", "C"), ("Q", "S", "B")),
+        Seq(("A", "a"), ("B", "b"), ("C", "c"))),
+      "same (B, C), different A" -> CnfGrammar(Seq(("S", "A", "B"), ("R", "A", "B"), ("A", "S", "B")),
+        Seq(("A", "a"), ("B", "b"))),
+      "no binary rules" -> termOnly,
+    )
+    for ((name, cnf) <- cases; graph <- Seq(chain, LabeledGraph(0, Vector.empty))) {
+      val got = df.solve(graph, cnf)
+      val truth = NaiveSetMatrixCFPQ.solve(graph, cnf)
+      assert(got == truth && got.added == truth.added, s"$name on ${graph.numNodes} nodes")
+    }
+    val shared = df.solve(chain, cases(1)._2)
+    assert(shared("S") == Set((0, 2)) && shared("R") == Set((0, 3)) && shared("Q") == Set((0, 0)))
+    val sameBody = df.solve(chain, cases(2)._2)
+    assert(sameBody("S") == sameBody("R") && sameBody("S").contains((0, 2)))
+  }
+
+  test("SparkDF runs exactly four Spark jobs per closure step, plus one to pin T0 and one to collect T") {
+    val (graph, cnf) = (LabeledGraph.paperExample, Queries.q1CnfPaper)
+    df.solve(graph, cnf) // the session's first solve of this plan may run more jobs
+    val (got, starts) = jobStarts(df.solve(graph, cnf))
+    val jobs = starts.length
+    assert(got.iterations == 6)
+    assert(jobs == 4 * got.iterations + 2, s"$jobs jobs over ${got.iterations} steps")
   }
 
   test("a Spark solve releases each superseded state while it runs: at most two persisted RDDs at every job start, on both Spark engines") {
