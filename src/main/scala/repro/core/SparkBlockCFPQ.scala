@@ -1,7 +1,8 @@
 package repro.core
 
 import scala.collection.mutable.ListBuffer
-import org.apache.spark.broadcast.Broadcast
+import scala.reflect.ClassTag
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -18,9 +19,9 @@ import repro.linalg.BoolCSR
   *
   * The closure is [[LocalMatrixCFPQ]]'s semi-naive step with `T` kept in
   * place: `T` is persisted once, each tile on the partitions of its block
-  * row and of its block column, and only `Δ` moves, broadcast from the
-  * driver. A step absorbs `Δ` into `T` and collects [[Closure.fresh]]'s `Δ'`
-  * from it: one Spark job with no shuffle, and reports `Δ'`'s tile `nnz`
+  * row and of its block column, and only `Δ` moves, from the driver in the
+  * step's task binary. A step absorbs `Δ` into `T` and gathers [[Closure.fresh]]'s
+  * `Δ'` from it: one Spark job with no shuffle, and reports `Δ'`'s tile `nnz`
   * summed per nonterminal. The work per partition is the companion's plain
   * [[SparkBlockCFPQ.absorb]] and [[SparkBlockCFPQ.step]]; Spark only
   * schedules them. The driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ`
@@ -38,30 +39,23 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
   override def solve(graph: LabeledGraph, grammar: CnfGrammar): CFPQResult = {
     val sc = spark.sparkContext
     val parts = math.min(sc.defaultParallelism, (math.max(graph.numNodes, 1) + blockSize - 1) / blockSize)
-    val empty = sc.parallelize(Seq.fill(parts)(Map.empty: Tiles), parts)
     val t0 = tile(blockSize, MatrixInit.cells(graph, grammar))
     val deltas = ListBuffer(t0)
-    // Each T with the Δ broadcast it absorbed: the next step's job serializes
-    // T's closure, and so the broadcast, once more; then `Closure.run` frees both.
-    type Placed = (RDD[Tiles], Broadcast[Tiles])
-    val placed = ListBuffer.empty[Placed]
-    def free(tb: Placed): Unit = { tb._1.unpersist(blocking = false); tb._2.destroy() }
+    val cached = ListBuffer.empty[RDD[Tiles]]
     // State: T without Δ yet (none before the first step) and Δ on the driver (Δ₀ = T₀).
     val (_, added) = try {
-      Closure.run((Option.empty[Placed], t0), Closure.capacity(graph, grammar))(_._1.foreach(free)) { case (t, delta) =>
-        val d = sc.broadcast(delta)
-        // The step's job stores T ∪ Δ and cuts its lineage, which then stays one step deep.
-        val t2 = t.fold(empty)(_._1).mapPartitionsWithIndex((p, it) => it.map(absorb(p, parts, _, d.value)))
-          .persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
-        placed += t2 -> d
-        val fresh = t2.mapPartitionsWithIndex((p, it) => it.flatMap(step(p, parts, _, d.value, grammar)))
-          .collect().groupMapReduce(_._1)(_._2)(_ union _)
+      Closure.run((Option.empty[RDD[Tiles]], t0), Closure.capacity(graph, grammar))(_._1.foreach(_.unpersist())) { case (t, delta) =>
+        // Δ rides in the step's task binary; its job stores T ∪ Δ and cuts T's lineage to one step.
+        val t2 = t.getOrElse(sc.parallelize(Seq.fill(parts)(Map.empty: Tiles), parts))
+          .mapPartitionsWithIndex((p, it) => it.map(absorb(p, parts, _, delta))).persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
+        cached += t2
+        val fresh = gather(t2)((p, it) => it.flatMap(step(p, parts, _, delta, grammar))).groupMapReduce(_._1)(_._2)(_ union _)
         deltas += fresh
-        ((Some(t2 -> d), fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
+        ((Some(t2), fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
       }
     } finally {
       // The last state; after a failed step, the one it started from too.
-      placed.filter(_._1.getStorageLevel != StorageLevel.NONE).foreach(free)
+      cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist())
     }
     CFPQResult(cells(deltas), added.length, added)
   }
@@ -79,6 +73,12 @@ object SparkBlockCFPQ {
 
   /** Tiles held on the driver. */
   type Tiles = Map[Key, BoolCSR]
+
+  /** What `f` makes of each partition of `rdd` and its index, in partition order, from one job. Spark's ClosureCleaner
+    * parses the class that declares a job's function: this object here, the far larger `RDD` for `collect()`.
+    */
+  private[repro] def gather[T, U: ClassTag](rdd: RDD[T])(f: (Int, Iterator[T]) => Iterator[U]): Array[U] =
+    rdd.sparkContext.runJob(rdd, (ctx: TaskContext, it: Iterator[T]) => f(ctx.partitionId(), it).toArray).flatten
 
   /** Tile a set of per-nonterminal cell lists. */
   private[repro] def tile(blockSize: Int, cells: Map[String, Seq[(Int, Int)]]): Tiles =

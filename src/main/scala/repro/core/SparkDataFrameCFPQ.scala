@@ -38,7 +38,7 @@ final class SparkDataFrameCFPQ(spark: SparkSession) extends CFPQEngine {
       val (t, added) = Closure.run(rows0, Closure.capacity(graph, grammar))(_.unpersist(blocking = false))(rows =>
         pin(step(frame(spark, rows), byB(grammar, id)), names, cached))
       Relation.requireFits("T (all nonterminals)", cells0.values.sum + added.iterator.flatMap(_.values).sum)
-      val rels = t.collect().iterator.flatMap { case (ntf, cells) => ntf.indices.map(i => (ntf(i) >> 1, cells(i))) }
+      val rels = SparkBlockCFPQ.gather(t)((_, it) => it).iterator.flatMap { case (ntf, cells) => ntf.indices.map(i => (ntf(i) >> 1, cells(i))) }
       CFPQResult(rels.toSeq.groupMap(_._1)(_._2).map { case (i, cs) => names(i) -> Relation(cs.toArray) }, added.length, added)
     } finally cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist(blocking = false))
   }
@@ -71,7 +71,7 @@ object SparkDataFrameCFPQ {
       Iterator((ntf.result(), cells.result()))
     }
     cached += blocks.persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
-    val counts = blocks.map(_._1.filter(_ % 2 == 1).groupMapReduce(_ >> 1)(_ => 1L)(_ + _)).collect()
+    val counts = SparkBlockCFPQ.gather(blocks)((_, it) => it.map(_._1.filter(_ % 2 == 1).groupMapReduce(_ >> 1)(_ => 1L)(_ + _)))
     (blocks, counts.flatten.groupMapReduce(c => names(c._1))(_._2)(_ + _))
   }
 

@@ -12,7 +12,8 @@ import repro.graph.LabeledGraph
   * Hellings and GLL give the same relations. Renaming the nodes renames
   * Dense's and SparseCSR's relations and changes nothing else; `k` disjoint
   * copies of a graph give `k` copies of every relation and `k` times each
-  * step's growth on Dense, SparseCSR and SparkBlock. Every engine
+  * step's growth on Dense, SparseCSR and SparkBlock; edges whose labels no
+  * terminal rule derives change nothing on any matrix engine. Every engine
   * but the reference returns its relations as [[Relation]]s, which must
   * equal the reference's `Set`s.
   */
@@ -72,6 +73,26 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
     }, seed = 1988L, successes = 40)
   }
 
+  test("edges whose labels no terminal rule derives change nothing on Dense, SparseCSR, SparkBlock and SparkDF (generated graphs x CNF grammars)") {
+    val df = new SparkDataFrameCFPQ(spark)
+    // Foreign edges over the graph's nodes and up to 3 new ones, which only they reach.
+    val noisyGraphs = for {
+      graph <- genGraph
+      n <- Gen.choose(math.max(graph.numNodes, 1), graph.numNodes + 3)
+      edges <- Gen.listOfN(2 * n, Gen.zip(Gen.choose(0, n - 1), Gen.oneOf(foreignLabels), Gen.choose(0, n - 1)))
+    } yield (graph, LabeledGraph(n, graph.edges ++ edges))
+    checkProperty(Prop.forAllNoShrink(noisyGraphs, genGrammar, Gen.choose(1, 3)) { case ((graph, noisy), cnf, bs) =>
+      Prop(!foreignLabels.exists(cnf.terminals)) :| "a foreign label is a terminal" &&
+        Seq(DenseCFPQ, SparseCFPQ, new SparkBlockCFPQ(spark, bs), df).map { e =>
+          val (r, p) = (e.solve(graph, cnf), e.solve(noisy, cnf))
+          val name = s"${e.name}, ${noisy.edges.length - graph.edges.length} foreign edges over ${noisy.numNodes} nodes, blockSize $bs"
+          Prop(p.relations == r.relations) :| s"$name: relations changed" &&
+            Prop(p.iterations == r.iterations) :| s"$name: iterations ${p.iterations} vs ${r.iterations}" &&
+            Prop(p.added == r.added) :| s"$name: growth ${p.added} vs ${r.added}"
+        }.reduce(_ && _)
+    }, seed = 1989L, successes = 20)
+  }
+
   test("SparkBlock equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted (block sizes 1, 2, 3, 16)") {
     val sc = spark.sparkContext
     checkProperty(Prop.forAllNoShrink(genGraphUpTo(16), genGrammar, Gen.oneOf(1, 2, 3, 16)) { (graph, cnf, bs) =>
@@ -113,6 +134,8 @@ object GeneratedEquivalenceSpec {
 
   private val nonterminals = Seq("A", "B", "C", "D")
   private val terminals = Seq("a", "b", "c")
+  /** Edge labels that [[genGrammar]]'s terminal rules never derive. */
+  private val foreignLabels = Seq("u", "v", "z")
 
   /** Up to 9 nodes; see [[genGraphUpTo]]. */
   val genGraph: Gen[LabeledGraph] = genGraphUpTo(9)

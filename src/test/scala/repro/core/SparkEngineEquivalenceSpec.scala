@@ -124,6 +124,19 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
+  test("no Spark engine's solve runs a collect(), and every SparkBlock job is submitted from SparkBlockCFPQ.scala") {
+    // A stage's name is its call site: the Spark method called, at the first frame outside Spark.
+    def sites(engine: CFPQEngine) = {
+      val (got, names) = observeJobs(engine.solve(anbn(4), anbnCnf))(_.stageInfos.map(_.name))
+      assert(got.iterations == 8 && names.nonEmpty, engine.name)
+      names
+    }
+    val block = sites(new SparkBlockCFPQ(spark, blockSize = 4))
+    val all = block.flatten ++ sites(df).flatten
+    assert(!all.exists(_.startsWith("collect at")), all.distinct.mkString(", "))
+    assert(block.flatten.forall(_.matches(""".+ at SparkBlockCFPQ\.scala:\d+""")), block.mkString(", "))
+  }
+
   test("SparkBlock's lineage does not grow with the step count: every step's job past the first runs over as many RDDs") {
     val (got, starts) = jobStarts(new SparkBlockCFPQ(spark).solve(anbn(10), anbnCnf))
     assert(got.iterations == 20 && starts.length == 20)
