@@ -56,14 +56,18 @@ object Closure {
     * adds to `T ∪ Δ` what `Δ·(T ∪ Δ) ∪ (T ∪ Δ)·Δ` adds when `T·T ⊆ T ∪ Δ`, the
     * iterates are Algorithm 1's and `|Δ'_A|` is what the step adds to `A`.
     *
+    * A right term is `(t_B, Δ_C, t_C)`: a kernel may take it as `t_B × t_C|rows(Δ_C)`, `t_C` at `Δ_C`'s non-empty
+    * rows. With `t = T ∪ Δ` that is `t_B × Δ_C ∪ T_B × T_C|… ∪ Δ_B × T_C|…`, whose last two parts are masked
+    * (`T_B × T_C ⊆ T ∪ Δ`) or the left term's product, so `Δ'` is the same.
+    *
     * @return `(A, Δ'_A, |Δ'_A|)` for every non-empty `Δ'_A`
     */
   def fresh[M, D](rulesByLhs: Map[String, Seq[(String, String, String)]], t: String => M, delta: Map[String, D])(
-      multiplyMasked: (Seq[(D, M)], Seq[(M, D)], M) => D, deltaCells: D => Long): Seq[(String, D, Long)] =
+      multiplyMasked: (Seq[(D, M)], Seq[(M, D, M)], M) => D, deltaCells: D => Long): Seq[(String, D, Long)] =
     for {
       (a, rules) <- rulesByLhs.toSeq
       left = rules.flatMap { case (_, b, c) => delta.get(b).map(_ -> t(c)) }
-      right = rules.flatMap { case (_, b, c) => delta.get(c).map(t(b) -> _) }
+      right = rules.flatMap { case (_, b, c) => delta.get(c).map((t(b), _, t(c))) }
       if left.nonEmpty || right.nonEmpty
       d = multiplyMasked(left, right, t(a))
       n = deltaCells(d) if n > 0
@@ -80,8 +84,8 @@ abstract class LocalMatrixCFPQ[M, D] extends CFPQEngine {
   /** `T₀_A` and `Δ₀_A` of an n×n matrix, both holding the distinct `cells`. */
   protected def init(n: Int, cells: Seq[(Int, Int)]): (M, D)
 
-  /** `(⋃_{(δ, t) ∈ left} δ × t ∪ ⋃_{(t, δ) ∈ right} t × δ) ∖ mask`: the product cells not in `mask`. */
-  protected def multiplyMasked(left: Seq[(D, M)], right: Seq[(M, D)], mask: M): D
+  /** `(⋃_{(δ, t) ∈ left} δ × t ∪ ⋃_{(t, δ, u) ∈ right} t × δ) ∖ mask`, or with `t × u|rows(δ)` ([[Closure.fresh]]). */
+  protected def multiplyMasked(left: Seq[(D, M)], right: Seq[(M, D, M)], mask: M): D
 
   /** `a ∪ d`; it may update `a` in place and return it. */
   protected def union(a: M, d: D): M

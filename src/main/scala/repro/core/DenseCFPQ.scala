@@ -13,9 +13,10 @@ import repro.linalg.BitMatrix.Delta
   * whatever the sparsity — the reproduction of the paper's observation
   * that dGPU had to be omitted on g1–g3. A closure step only touches `Δ`:
   * `Δ` and `Δ'` are [[BitMatrix.Delta]]s that hold each non-empty row as
-  * words or as columns, [[BitMatrix.multiplyMasked]] ORs a row of `T` into
-  * a one-row accumulator per cell of `Δ` (64 cells per word operation), and
-  * `T_A ∪ Δ'_A` writes only `Δ'_A`'s rows. A step allocates no n×n matrix.
+  * words or as columns, [[BitMatrix.multiplyMasked]] ORs row k of `T_C` into a
+  * one-row accumulator per cell k of `Δ_B`'s row and of `T_B`'s row where row k
+  * of `Δ_C` holds cells (64 cells per word operation; see [[Closure.fresh]]),
+  * and `T_A ∪ Δ'_A` writes only `Δ'_A`'s rows. A step allocates no n×n matrix.
   * `T₀` is set cell by cell and `Δ₀` copied from it. Each `T` of more
   * than 32 words per row keeps a bitmap of every row's non-zero words, so
   * that a wide row holding a few cells costs the kernel the words it holds.
@@ -43,7 +44,7 @@ object DenseCFPQ extends LocalMatrixCFPQ[BitMatrix, Delta] {
     val t = BitMatrix.fromPairs(n, cells)
     (t, Delta(t))
   }
-  protected def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta =
+  protected def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta, BitMatrix)], mask: BitMatrix): Delta =
     BitMatrix.multiplyMasked(left, right, mask)
   protected def union(a: BitMatrix, d: Delta): BitMatrix = { a.orInPlace(d); a }
   protected def cells(m: BitMatrix): Long = m.cardinality

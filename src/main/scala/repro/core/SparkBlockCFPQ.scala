@@ -126,8 +126,9 @@ object SparkBlockCFPQ {
     // only into block rows ≡ p, as their T tile lies: each tile product is then
     // made once, where its mask T_A(bi, bj) is held (made wherever its operands
     // are, it would also come out unmasked). Where bi ≡ bj both kinds meet.
-    def kernel(left: Seq[(Blocks, Blocks)], right: Seq[(Blocks, Blocks)], mask: Blocks): Blocks =
-      (left.iterator.flatMap(products((_, bj) => bj % parts == p)) ++ right.iterator.flatMap(products((bi, _) => bi % parts == p)))
+    def kernel(left: Seq[(Blocks, Blocks)], right: Seq[(Blocks, Blocks, Blocks)], mask: Blocks): Blocks =
+      (left.iterator.flatMap(products((_, bj) => bj % parts == p)) ++
+        right.iterator.map(r => r._1 -> r._2).flatMap(products((bi, _) => bi % parts == p)))
         .toSeq.groupMap(_._1)(_._2).map { case (tile, ts) => tile -> BoolCSR.multiplyMasked(ts, mask.get(tile)) }
         .filter(_._2.nnz > 0)
     val fresh = Closure.fresh(grammar.binary.groupBy(_._1), byNt(local).withDefaultValue(Map.empty), byNt(delta))(

@@ -18,8 +18,8 @@ object SparseCFPQ extends LocalMatrixCFPQ[BoolCSR, BoolCSR] {
     val m = BoolCSR.fromPairs(n, n, cells)
     (m, m)
   }
-  protected def multiplyMasked(left: Seq[(BoolCSR, BoolCSR)], right: Seq[(BoolCSR, BoolCSR)], mask: BoolCSR): BoolCSR =
-    BoolCSR.multiplyMasked(left ++ right, Some(mask))
+  protected def multiplyMasked(left: Seq[(BoolCSR, BoolCSR)], right: Seq[(BoolCSR, BoolCSR, BoolCSR)], mask: BoolCSR): BoolCSR =
+    BoolCSR.multiplyMasked(left ++ right.map(r => r._1 -> r._2), Some(mask))
   protected def union(a: BoolCSR, d: BoolCSR): BoolCSR = a.union(d)
   protected def cells(m: BoolCSR): Long = m.nnz.toLong
   protected def deltaCells(d: BoolCSR): Long = d.nnz.toLong

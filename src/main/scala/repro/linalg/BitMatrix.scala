@@ -45,23 +45,10 @@ final class BitMatrix(val n: Int) extends Serializable {
   /** Number of set cells. */
   def cardinality: Long = count
 
-  /** In-place OR: this |= that. Returns true iff any bit changed. */
+  /** In-place OR: this |= that, written as `that`'s [[BitMatrix.Delta]]. Returns true iff any bit changed. */
   def orInPlace(that: BitMatrix): Boolean = {
-    require(n == that.n)
     val before = count
-    var i = 0
-    while (i < n) {
-      if (that.occupied(i)) {
-        val base = i * wordsPerRow; val ib = i * indexPerRow
-        var w = BitMatrix.nextWord(that.wordOcc, ib, wordsPerRow, -1)
-        while (w < wordsPerRow) {
-          val add = that.bits(base + w) & ~bits(base + w)
-          if (add != 0) { bits(base + w) |= add; count += java.lang.Long.bitCount(add); occupy(i); mark(i, w) }
-          w = BitMatrix.nextWord(that.wordOcc, ib, wordsPerRow, w)
-        }
-      }
-      i += 1
-    }
+    orInPlace(BitMatrix.Delta(that))
     count != before
   }
 
@@ -157,18 +144,11 @@ object BitMatrix {
     * @param rows  the non-empty rows, ascending, in `rows(0 until size)`
     * @param ptr   row `rows(r)` occupies `data(ptr(r) until ptr(r + 1))`
     * @param occ   row-occupancy bitmap: bit `i` set iff row `i` is non-empty
-    * @param rank  `rank(w)`: the non-empty rows before row `64 w`
     * @param cells number of set cells
     */
   final class Delta private[linalg] (val n: Int, private[linalg] val size: Int, private[linalg] val rows: Array[Int],
                                      private[linalg] val ptr: Array[Int], private[linalg] val data: Array[Long],
-                                     private[linalg] val occ: Array[Long], rank: Array[Int],
-                                     val cells: Long) {
-
-    /** The index in `rows` of row `i`, which must be non-empty. */
-    private[linalg] def position(i: Int): Int =
-      rank(i >>> 6) + java.lang.Long.bitCount(occ(i >>> 6) & ((1L << (i & 63)) - 1))
-  }
+                                     private[linalg] val occ: Array[Long], val cells: Long)
 
   object Delta {
 
@@ -276,22 +256,19 @@ object BitMatrix {
       end = ptr(size)
     }
 
-    def result(): Delta = {
-      val rank = new Array[Int](wpr)
-      var w = 1
-      while (w < wpr) { rank(w) = rank(w - 1) + java.lang.Long.bitCount(occ(w - 1)); w += 1 }
-      new Delta(n, size, rows, ptr, data, occ, rank, cells)
-    }
+    def result(): Delta = new Delta(n, size, rows, ptr, data, occ, cells)
   }
 
-  /** The closure step's kernel, `Δ' = (⋃ Δ_B × T_C ∪ ⋃ T_B × Δ_C) ∖ mask`,
-    * built one dense accumulator row at a time:
+  /** The closure step's kernel, `(⋃ Δ_B × T_C ∪ ⋃ T_B × T_C|rows(Δ_C)) ∖ mask`,
+    * built one dense accumulator row at a time, where `T_C|rows(Δ_C)` is
+    * `T_C` at the non-empty rows of `Δ_C`:
     *  - a left term `(Δ_B, T_C)` ORs row k of `T_C` into the row for each
     *    cell k of `Δ_B`'s row, 64 cells per word operation;
-    *  - a right term `(T_B, Δ_C)` ANDs `T_B`'s row words with `Δ_C`'s
-    *    row-occupancy bitmap, and for each k left ORs in (word form) or sets
-    *    (column form) row k of `Δ_C`.
-    * Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned. A row
+    *  - a right term `(T_B, Δ_C, T_C)` ANDs `T_B`'s row words with `Δ_C`'s
+    *    row-occupancy bitmap, and for each k left ORs in row k of `T_C` the
+    *    same way; it reads no row of `Δ_C`.
+    * [[repro.core.Closure.fresh]] passes `T_C ⊇ Δ_C`, for which the sum is
+    * its `Δ'`. Empty rows of `T_C` and `T_B` are neither OR-ed nor scanned. A row
     * that received something is then cleared of the mask's cells (one
     * `andNot` per word), emitted in its cheaper form and zeroed; a row that
     * received nothing is skipped. Unless the rows are read [[straight]], a
@@ -302,16 +279,17 @@ object BitMatrix {
     * 2019) do. The kernel allocates no n×n matrix: its working space is one
     * row and its word bitmap.
     */
-  def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta)], mask: BitMatrix): Delta = {
+  def multiplyMasked(left: Seq[(Delta, BitMatrix)], right: Seq[(BitMatrix, Delta, BitMatrix)], mask: BitMatrix): Delta = {
     val n = mask.n
-    require(left.forall { case (d, m) => d.n == n && m.n == n } && right.forall { case (m, d) => m.n == n && d.n == n },
+    require(left.forall { case (d, m) => d.n == n && m.n == n } && right.forall { case (m, d, u) => m.n == n && d.n == n && u.n == n },
       s"dim mismatch in a ${n}x$n sum")
     val wpr = mask.wordsPerRow
     val ipr = mask.indexPerRow
     val ls = left.map(_._1).toArray
     val lt = left.map(_._2).toArray
     val rt = right.map(_._1).toArray
-    val rs = right.map(_._2).toArray
+    val ro = right.map(_._2.occ).toArray // Δ_C's row occupancy
+    val ru = right.map(_._3).toArray
     val next = new Array[Int](ls.length) // per left term: the index of its next row in `rows`
     val acc = new Array[Long](wpr)
     val touched = new Array[Long]((wpr + 63) >>> 6) // bit w set if acc(w) was written since the last row
@@ -364,29 +342,15 @@ object BitMatrix {
       }
       t = 0
       while (t < rt.length) {
-        val m = rt(t); val d = rs(t)
-        if (m.occupied(i)) { // an empty row of T_B meets no row of Δ_C
+        val m = rt(t); val occ = ro(t)
+        if (m.occupied(i)) { // an empty row of T_B meets no row of T_C
           val base = i * wpr; val ib = i * ipr
           var kw = nextWord(m.wordOcc, ib, wpr, -1)
           while (kw < wpr) {
-            var word = m.bits(base + kw) & d.occ(kw)
+            var word = m.bits(base + kw) & occ(kw)
             while (word != 0) {
-              val r = d.position((kw << 6) + java.lang.Long.numberOfTrailingZeros(word))
+              if (orRow(ru(t), (kw << 6) + java.lang.Long.numberOfTrailingZeros(word))) wrote = true
               word &= word - 1
-              wrote = true
-              val s = d.ptr(r); val e = d.ptr(r + 1)
-              if (e - s == wpr) {
-                var w = 0
-                while (w < wpr) { acc(w) |= d.data(s + w); w += 1 }
-                if (wide) java.util.Arrays.fill(touched, -1L)
-              } else {
-                var q = s
-                while (q < e) {
-                  val j = d.data(q).toInt
-                  acc(j >>> 6) |= 1L << (j & 63); touched(j >>> 12) |= 1L << ((j >>> 6) & 63)
-                  q += 1
-                }
-              }
             }
             kw = nextWord(m.wordOcc, ib, wpr, kw)
           }

@@ -57,14 +57,18 @@ class BitMatrixSpec extends AnyFunSuite {
   test("multiplyMasked sums the terms' products and leaves out the mask's cells") {
     val a = delta(70, Seq((0, 1), (2, 69)))
     val b = BitMatrix.fromPairs(70, Seq((1, 5), (1, 66), (69, 3)))
-    val c = BitMatrix.fromPairs(70, Seq((0, 2)))
+    val c = BitMatrix.fromPairs(70, Seq((0, 2), (0, 3)))
     val d = delta(70, Seq((2, 7)))
+    // The right term's T_C: d's cell, one more in d's row 2, and one in row 3, which d leaves empty.
+    val u = BitMatrix.fromPairs(70, Seq((2, 7), (2, 9), (3, 11)))
     val mask = BitMatrix.fromPairs(70, Seq((0, 66), (2, 3)))
-    val p = BitMatrix.multiplyMasked(Seq(a -> b), Seq(c -> d), mask)
-    assert(pairs(p) == Vector((0, 5), (0, 7)) && p.cells == 2)
-    assert(pairs(BitMatrix.multiplyMasked(Seq(a -> b), Seq(c -> d), new BitMatrix(70))) == Vector((0, 5), (0, 7), (0, 66), (2, 3)))
+    val p = BitMatrix.multiplyMasked(Seq(a -> b), Seq((c, d, u)), mask)
+    assert(pairs(p) == Vector((0, 5), (0, 7), (0, 9)) && p.cells == 3)
+    assert(pairs(BitMatrix.multiplyMasked(Seq(a -> b), Seq((c, d, u)), new BitMatrix(70))) ==
+      Vector((0, 5), (0, 7), (0, 9), (0, 66), (2, 3)))
     assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq(a -> new BitMatrix(3)), Seq.empty, mask))
-    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq.empty, Seq(c -> delta(3, Seq.empty)), mask))
+    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq.empty, Seq((c, delta(3, Seq.empty), c)), mask))
+    assertThrows[IllegalArgumentException](BitMatrix.multiplyMasked(Seq.empty, Seq((c, d, new BitMatrix(3))), mask))
   }
 
   test("orInPlace(Delta) writes the Delta's rows in both forms and keeps cardinality exact") {
@@ -94,7 +98,7 @@ class BitMatrixSpec extends AnyFunSuite {
     def check(m: BitMatrix, ref: Set[(Int, Int)]): Unit = {
       assert(m.toPairs == ref.toVector.sorted && m.cardinality == ref.size)
       val d = delta(n, probe)
-      val p = BitMatrix.multiplyMasked(Seq(d -> m), Seq(m -> d), BitMatrix.fromPairs(n, mask))
+      val p = BitMatrix.multiplyMasked(Seq(d -> m), Seq((m, d, BitMatrix.fromPairs(n, probe))), BitMatrix.fromPairs(n, mask))
       val expected = BoolRef.multiply(n, probe.toSet, ref) ++ BoolRef.multiply(n, ref, probe.toSet) -- mask
       assert(pairs(p) == expected.toVector.sorted && p.cells == expected.size)
     }

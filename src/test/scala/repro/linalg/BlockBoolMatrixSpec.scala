@@ -176,7 +176,7 @@ class BlockBoolMatrixSpec extends AnyFunSuite with PropertyChecks {
       def csr(m: Map[String, Seq[(Int, Int)]]) = m.map { case (nt, ps) => nt -> BoolCSR.fromPairs(n, n, ps) }
       // SparseCSR's kernel over the whole matrices.
       val local = Closure.fresh(rules.groupBy(_._1), csr(t), csr(delta.filter(_._2.nonEmpty)))(
-        (left, right, mask) => BoolCSR.multiplyMasked(left ++ right, Some(mask)), _.nnz.toLong)
+        (left, right, mask) => BoolCSR.multiplyMasked(left ++ right.map(r => r._1 -> r._2), Some(mask)), _.nnz.toLong)
       val expected = local.map { case (a, d, _) => a -> d.toPairs.toSet }.toMap
       val got = stepCells(bs, t, delta, rules, parts)
       val at = s"n=$n bs=$bs P=$parts rules=$rules"

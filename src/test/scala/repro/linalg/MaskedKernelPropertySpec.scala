@@ -5,7 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropertyChecks
 
 /** Generated checks of the complement-masked kernels against plain set
-  * algebra: `multiplyMasked(terms, mask) = (⋃ a × b) ∖ mask`.
+  * algebra: `multiplyMasked(terms, mask) = (⋃ a × b) ∖ mask`, where
+  * BitMatrix's right term `(a, b, u)` makes `a × u|rows(b)`, `u ⊇ b` at the
+  * non-empty rows of `b`.
   */
 class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
   import MaskedKernelPropertySpec._
@@ -19,21 +21,26 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
     var sides = (0, 0, 0)
     // Rows of the BoolCSR kernel's output by accumulator: (heavy, light).
     var accumulators = (0, 0)
+    // Product cells that only extra cells of a right term's u make, from a row of its Δ and from another row.
+    var extras = (0, 0)
     def read(n: Int, cells: Set[(Int, Int)]): BitMatrix = {
       val (s, i, wide) = rowSides(n, cells)
       sides = (sides._1 + s, sides._2 + i, sides._3 + wide)
       BitMatrix.fromPairs(n, cells)
     }
     checkProperty(Prop.forAllNoShrink(genCase) { c =>
+      extras = (extras._1 + (c.bitProduct -- c.product).size, extras._2 + (c.reach -- c.bitProduct).size)
       val expected = c.product -- c.mask
+      val bitExpected = c.bitProduct -- c.mask
       val csrTerms = c.terms.map { case (a, b) => BoolCSR.fromPairs(c.n, c.n, a) -> BoolCSR.fromPairs(c.n, c.n, b) }
       val (h, l) = rowAccumulators(csrTerms)
       accumulators = (accumulators._1 + h, accumulators._2 + l)
       val csr = BoolCSR.multiplyMasked(csrTerms, Some(BoolCSR.fromPairs(c.n, c.n, c.mask)))
-      // A left term is (Δ, T), a right term (T, Δ).
+      // A left term is (Δ, T), a right term (T, Δ, u).
       def delta(cells: Set[(Int, Int)]) = seen(BitMatrix.Delta(BitMatrix.fromPairs(c.n, cells)))
-      val (left, right) = c.terms.zip(c.leftSide).partitionMap { case ((a, b), isLeft) =>
-        if (isLeft) Left(delta(a) -> read(c.n, b)) else Right(read(c.n, a) -> delta(b))
+      val (left, right) = c.terms.indices.partitionMap { t =>
+        val (a, b) = c.terms(t)
+        if (c.leftSide(t)) Left(delta(a) -> read(c.n, b)) else Right((read(c.n, a), delta(b), read(c.n, c.u(t))))
       }
       def bit(mask: Set[(Int, Int)]) = {
         val d = seen(BitMatrix.multiplyMasked(left, right, BitMatrix.fromPairs(c.n, mask)))
@@ -42,10 +49,11 @@ class MaskedKernelPropertySpec extends AnyFunSuite with PropertyChecks {
         (m.toPairs.toSet, d.cells)
       }
       Prop(csr.toPairs.toSet == expected) :| "BoolCSR" &&
-        Prop(bit(c.mask) == (expected, expected.size.toLong)) :| "BitMatrix" &&
+        Prop(bit(c.mask) == (bitExpected, bitExpected.size.toLong)) :| "BitMatrix" &&
         Prop(BoolCSR.multiplyMasked(csrTerms, None).toPairs.toSet == c.product) :| "BoolCSR, no mask" &&
-        Prop(bit(Set.empty) == (c.product, c.product.size.toLong)) :| "BitMatrix, no mask"
+        Prop(bit(Set.empty) == (c.bitProduct, c.bitProduct.size.toLong)) :| "BitMatrix, no mask"
     }, seed = 20190L)
+    assert(extras._1 > 0 && extras._2 > 0, s"cells of extra u cells (from a Δ row, kept out from another row): $extras")
     assert(forms._1 > 0 && forms._2 > 0, s"rows by form (words, columns): $forms")
     assert(sides._1 > 0 && sides._2 > 0 && sides._3 > 0, s"rows by side (straight, indexed, indexed past word 63): $sides")
     assert(accumulators._1 > 0 && accumulators._2 > 0, s"BoolCSR rows by accumulator (heavy, light): $accumulators")
@@ -85,11 +93,22 @@ object MaskedKernelPropertySpec {
   }
 
   /** Square `n×n` terms and a mask; `leftSide(t)` puts term `t`'s `Δ` on
-    * the left in the BitMatrix kernel, else on the right.
+    * the left in the BitMatrix kernel, else on the right, with `u(t)`, its
+    * `Δ`'s cells and `extra(t)`, as the `T` whose rows it reads.
     */
   final case class Case(n: Int, terms: Seq[(Set[(Int, Int)], Set[(Int, Int)])], leftSide: Seq[Boolean],
-                        mask: Set[(Int, Int)]) {
+                        extra: Seq[Set[(Int, Int)]], mask: Set[(Int, Int)]) {
+    def u(t: Int): Set[(Int, Int)] = terms(t)._2 ++ extra(t)
+    private def rights = terms.indices.filterNot(leftSide)
+    /** `⋃ a × b`. */
     lazy val product: Set[(Int, Int)] = terms.map { case (a, b) => BoolRef.multiply(n, a, b) }.reduce(_ ++ _)
+    /** `product` with each right term's `a × u|rows(b)`. */
+    lazy val bitProduct: Set[(Int, Int)] = product ++ rights.flatMap { t =>
+      val rows = terms(t)._2.map(_._1)
+      BoolRef.multiply(n, terms(t)._1, u(t).filter(c => rows(c._1)))
+    }
+    /** `product` with each right term's `a × u`. */
+    lazy val reach: Set[(Int, Int)] = product ++ rights.flatMap(t => BoolRef.multiply(n, terms(t)._1, u(t)))
   }
 
   /** Cells at a small density, up to a few per row on either side of
@@ -125,16 +144,18 @@ object MaskedKernelPropertySpec {
     terms <- Gen.listOfN(k, Gen.zip(gen, gen))
     // Left-only, right-only or mixed.
     leftSide <- Gen.oneOf(Gen.const(List.fill(k)(true)), Gen.const(List.fill(k)(false)), Gen.listOfN(k, Gen.oneOf(true, false)))
+    // Cells of a right term's u beyond its Δ's, in rows its Δ holds and in rows it leaves empty.
+    extra <- Gen.listOfN(k, gen)
     other <- gen
     pick <- Gen.choose(0, 3)
   } yield {
-    val c = Case(n, terms, leftSide, Set.empty)
+    val c = Case(n, terms, leftSide, extra, Set.empty)
     // No mask, a mask covering the whole product, an unrelated mask, or part of the product.
     val mask = pick match {
       case 0 => Set.empty[(Int, Int)]
-      case 1 => c.product ++ other
+      case 1 => c.bitProduct ++ other
       case 2 => other
-      case _ => c.product.filter(p => (p._1 + p._2) % 2 == 0) ++ other
+      case _ => c.bitProduct.filter(p => (p._1 + p._2) % 2 == 0) ++ other
     }
     c.copy(mask = mask)
   }
