@@ -8,7 +8,7 @@ import scala.collection.immutable.{AbstractSet, HashSet}
   * every `Set`'s, so a `Relation` equals a `HashSet` of the same pairs and
   * hashes alike. Adding or removing a pair gives a copied `HashSet`.
   */
-final class Relation private (private val cells: Array[Long]) extends AbstractSet[(Int, Int)] {
+final class Relation private (private[core] val cells: Array[Long]) extends AbstractSet[(Int, Int)] {
   override def knownSize: Int = cells.length // and so `size` and `isEmpty`
   def contains(p: (Int, Int)): Boolean = java.util.Arrays.binarySearch(cells, Relation.pack(p._1, p._2)) >= 0
   def iterator: Iterator[(Int, Int)] = cells.iterator.map(Relation.unpack)

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ListBuffer
 import scala.reflect.ClassTag
-import org.apache.spark.TaskContext
+import org.apache.spark.{TaskContext, TaskKilledException}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -18,14 +18,17 @@ import repro.linalg.BoolCSR
   * kernel inside a Spark task, standing in for a CUDA thread block.
   *
   * The closure is [[LocalMatrixCFPQ]]'s semi-naive step with `T` kept in
-  * place: `T` is persisted once, each tile on the partitions of its block
-  * row and of its block column, and only `Δ` moves, from the driver in the
-  * step's task binary. A step absorbs `Δ` into `T` and gathers [[Closure.fresh]]'s
+  * place, over `P = min(defaultParallelism, block rows)` partitions. With
+  * `P = 1` no `Δ` has to move between tasks, so one job's one task runs the
+  * whole closure ([[SparkBlockCFPQ.closure]]) and returns `T`. With `P ≥ 2`
+  * `T` is persisted once, each tile on the partitions of its block row and
+  * of its block column, and only `Δ` moves, from the driver in the step's
+  * task binary. A step absorbs `Δ` into `T` and gathers [[Closure.fresh]]'s
   * `Δ'` from it: one Spark job with no shuffle, and reports `Δ'`'s tile `nnz`
   * summed per nonterminal. The work per partition is the companion's plain
-  * [[SparkBlockCFPQ.absorb]] and [[SparkBlockCFPQ.step]]; Spark only
-  * schedules them. The driver keeps every `Δ`, so the result `T₀ ∪ ⋃ Δ`
-  * needs no further job.
+  * [[SparkBlockCFPQ.absorb]] and [[SparkBlockCFPQ.step]] on either path;
+  * Spark only schedules them. The driver absorbs every `Δ` into its own
+  * `T`, so the result needs no further job.
   *
   * @param spark     session to run on
   * @param blockSize side of square tiles; small graphs collapse to one
@@ -40,24 +43,32 @@ final class SparkBlockCFPQ(spark: SparkSession, blockSize: Int = 1024) extends C
     val sc = spark.sparkContext
     val parts = math.min(sc.defaultParallelism, (math.max(graph.numNodes, 1) + blockSize - 1) / blockSize)
     val t0 = tile(blockSize, MatrixInit.cells(graph, grammar))
-    val deltas = ListBuffer(t0)
-    val cached = ListBuffer.empty[RDD[Tiles]]
-    // State: T without Δ yet (none before the first step) and Δ on the driver (Δ₀ = T₀).
-    val (_, added) = try {
-      Closure.run((Option.empty[RDD[Tiles]], t0), Closure.capacity(graph, grammar))(_._1.foreach(_.unpersist())) { case (t, delta) =>
-        // Δ rides in the step's task binary; its job stores T ∪ Δ and cuts T's lineage to one step.
-        val t2 = t.getOrElse(sc.parallelize(Seq.fill(parts)(Map.empty: Tiles), parts))
-          .mapPartitionsWithIndex((p, it) => it.map(absorb(p, parts, _, delta))).persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
-        cached += t2
-        val fresh = gather(t2)((p, it) => it.flatMap(step(p, parts, _, delta, grammar))).groupMapReduce(_._1)(_._2)(_ union _)
-        deltas += fresh
-        ((Some(t2), fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
+    val capacity = Closure.capacity(graph, grammar)
+    val (tiles, added) = if (parts == 1) {
+      // One task holds T: it runs the whole closure, and the job's one result is T and each step's growth.
+      val Array((t, added)) = gather(sc.parallelize(Seq(t0), 1))((_, it) => it.map(closure(_, capacity, grammar)))
+      (t, added)
+    } else {
+      var all = t0 // T ∪ Δ on the driver: one partition of one holds every tile
+      val cached = ListBuffer.empty[RDD[Tiles]]
+      // State: T without Δ yet (none before the first step) and Δ on the driver (Δ₀ = T₀).
+      val (_, added) = try {
+        Closure.run((Option.empty[RDD[Tiles]], t0), capacity)(_._1.foreach(_.unpersist())) { case (t, delta) =>
+          // Δ rides in the step's task binary; its job stores T ∪ Δ and cuts T's lineage to one step.
+          val t2 = t.getOrElse(sc.parallelize(Seq.fill(parts)(Map.empty: Tiles), parts))
+            .mapPartitionsWithIndex((p, it) => it.map(absorb(p, parts, _, delta))).persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
+          cached += t2
+          val fresh = gather(t2)((p, it) => it.flatMap(step(p, parts, _, delta, grammar))).groupMapReduce(_._1)(_._2)(_ union _)
+          all = absorb(0, 1, all, fresh)
+          ((Some(t2), fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
+        }
+      } finally {
+        // The last state; after a failed step, the one it started from too.
+        cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist())
       }
-    } finally {
-      // The last state; after a failed step, the one it started from too.
-      cached.filter(_.getStorageLevel != StorageLevel.NONE).foreach(_.unpersist())
+      (all, added)
     }
-    CFPQResult(cells(deltas), added.length, added)
+    CFPQResult(cells(tiles), added.length, added)
   }
 }
 
@@ -80,22 +91,57 @@ object SparkBlockCFPQ {
   private[repro] def gather[T, U: ClassTag](rdd: RDD[T])(f: (Int, Iterator[T]) => Iterator[U]): Array[U] =
     rdd.sparkContext.runJob(rdd, (ctx: TaskContext, it: Iterator[T]) => f(ctx.partitionId(), it).toArray).flatten
 
-  /** Tile a set of per-nonterminal cell lists. */
+  /** Tile a set of per-nonterminal cell lists, duplicates allowed. A
+    * nonterminal's packed cells, sorted and distinct as a [[Relation]]'s, go
+    * stably into block-column order by a counting sort, so that each tile's
+    * cells are one row-major run.
+    */
   private[repro] def tile(blockSize: Int, cells: Map[String, Seq[(Int, Int)]]): Tiles =
     cells.flatMap { case (nt, pairs) =>
-      pairs
-        .groupBy { case (i, j) => (i / blockSize, j / blockSize) }
-        .map { case ((bi, bj), ps) =>
-          (nt, bi, bj) -> BoolCSR.fromPairs(blockSize, blockSize,
-            ps.map { case (i, j) => (i - bi * blockSize, j - bj * blockSize) })
-        }
+      val packed = new Array[Long](pairs.length)
+      var n = 0
+      pairs.foreach { case (i, j) =>
+        require(i >= 0 && j >= 0, s"cell ($i,$j) of $nt is negative")
+        packed(n) = Relation.pack(i, j); n += 1
+      }
+      val sorted = Relation(packed).cells
+      def bi(c: Long) = (c >>> 32).toInt / blockSize
+      def bj(c: Long) = c.toInt / blockSize
+      // start(b + 1): the cells of block column b; then, summed, where they go.
+      val start = new Array[Int](sorted.foldLeft(0)(_ max bj(_)) + 2)
+      sorted.foreach(c => start(bj(c) + 1) += 1)
+      for (b <- 1 until start.length) start(b) += start(b - 1)
+      val byTile = new Array[Long](sorted.length)
+      sorted.foreach { c => byTile(start(bj(c))) = c; start(bj(c)) += 1 }
+      // One run per tile, its cells made local by taking off the tile's packed origin.
+      val out = Map.newBuilder[Key, BoolCSR]
+      var s = 0
+      while (s < byTile.length) {
+        val key @ (_, r, c) = (nt, bi(byTile(s)), bj(byTile(s)))
+        var e = s
+        while (e < byTile.length && bi(byTile(e)) == r && bj(byTile(e)) == c) e += 1
+        val origin = Relation.pack(r * blockSize, c * blockSize)
+        out += key -> BoolCSR.fromPacked(blockSize, blockSize, byTile.slice(s, e).map(_ - origin))
+        s = e
+      }
+      out.result()
     }
 
-  /** Per-nonterminal relation of several tile sets: a tile's packed cells plus its packed origin. */
-  private[repro] def cells(tiles: Iterable[Tiles]): Map[String, Relation] =
-    tiles.iterator.flatten.toArray.groupBy(_._1._1).map { case (nt, ts) =>
-      Relation.requireFits(nt, ts.iterator.map(_._2.nnz.toLong).sum)
-      nt -> Relation(ts.flatMap { case ((_, bi, bj), m) => m.toPacked.map(_ + Relation.pack(bi * m.numRows, bj * m.numCols)) })
+  /** Per-nonterminal relation of a tile map, its packed cells written in
+    * row-major order and so sorted with no sort: each block row's local rows
+    * in turn, each taking its tiles' cells in block-column order.
+    */
+  private[repro] def cells(tiles: Tiles): Map[String, Relation] =
+    tiles.groupBy(_._1._1).map { case (nt, ts) =>
+      val total = ts.valuesIterator.map(_.nnz.toLong).sum
+      Relation.requireFits(nt, total)
+      val out = new Array[Long](total.toInt)
+      var n = 0
+      for ((bi, row) <- ts.toSeq.groupBy(_._1._2).toSeq.sortBy(_._1); byCol = row.sortBy(_._1._3); i <- 0 until row.head._2.numRows;
+           ((_, _, bj), m) <- byCol; p <- m.rowPtr(i) until m.rowPtr(i + 1)) {
+        out(n) = Relation.pack(bi * m.numRows + i, bj * m.numCols + m.colIdx(p)); n += 1
+      }
+      nt -> Relation.sorted(out)
     }
 
   /** `T ∪ Δ` on partition `p` of `parts`, which holds the tiles whose block
@@ -107,6 +153,24 @@ object SparkBlockCFPQ {
     local ++ delta.collect { case (key @ (_, bi, bj), d) if bi % parts == p || bj % parts == p =>
       key -> local.get(key).fold(d)(_ union d)
     }
+
+  /** Why [[closure]] ended its task: its job was cancelled. */
+  private[repro] val killedBetweenSteps = "job cancelled; killed between closure steps"
+
+  /** The whole closure from `t0` on the one partition of a Spark task: `T`
+    * and each step's added cells, as [[Closure.run]] gives them. Between
+    * steps it ends the task if its job was cancelled; Spark marks the task
+    * interrupted whether or not the job interrupts its threads.
+    */
+  private[repro] def closure(t0: Tiles, capacity: Long, grammar: CnfGrammar): (Tiles, Seq[Map[String, Long]]) = {
+    val ((t, _), added) = Closure.run((Map.empty: Tiles, t0), capacity)() { case (t, delta) =>
+      if (TaskContext.get.isInterrupted()) throw new TaskKilledException(killedBetweenSteps)
+      val t2 = absorb(0, 1, t, delta)
+      val fresh = step(0, 1, t2, delta, grammar)
+      ((t2, fresh), fresh.toSeq.groupMapReduce(_._1._1)(_._2.nnz.toLong)(_ + _))
+    }
+    (t, added)
+  }
 
   /** One semi-naive step on partition `p` of `parts`, over `local ⊇ Δ`
     * placed by [[absorb]]: its non-empty tiles of [[Closure.fresh]]'s `Δ'`,

@@ -217,6 +217,16 @@ object BoolCSR {
     new BoolCSR(numRows, numCols, outPtr, out.result())
   }
 
+  /** Build from packed [[Relation]] cells, strictly ascending
+    * and inside the matrix, as [[BoolCSR#toPacked]] gives them.
+    */
+  private[repro] def fromPacked(numRows: Int, numCols: Int, cells: Array[Long]): BoolCSR = {
+    val rowPtr = new Array[Int](numRows + 1)
+    cells.foreach(c => rowPtr((c >>> 32).toInt + 1) += 1)
+    for (r <- 0 until numRows) rowPtr(r + 1) += rowPtr(r)
+    new BoolCSR(numRows, numCols, rowPtr, cells.map(_.toInt))
+  }
+
   /** Build from (row, col) pairs, duplicates allowed, by counting sort
     * (Gustavson 1978): count the cells per row, prefix-sum the counts into
     * `rowPtr`, scatter the columns, then sort each row and drop its

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import org.scalacheck.{Gen, Prop}
 import repro.{PropertyChecks, SparkSpec}
 import repro.baseline.{GllCFPQ, HellingsCFPQ}
@@ -103,6 +104,22 @@ class GeneratedEquivalenceSpec extends SparkSpec with PropertyChecks {
     }, seed = 2016L, successes = 60)
   }
 
+  test("SparkBlock's relations, iterations and growth do not depend on the block size or the partition count (generated graphs of 30-200 nodes x CNF grammars, block sizes 1-16 against the default)") {
+    val sc = spark.sparkContext
+    var (cases, wide) = (0, 0) // cases, and those whose T holds cells in 3 or more block rows
+    val parts = mutable.Set.empty[Int]
+    checkProperty(Prop.forAllNoShrink(genSpreadGraph, genGrammar, Gen.choose(1, 16)) { (graph, cnf, bs) =>
+      // The default block size holds every generated graph in one block, so P = 1 and one task runs the closure.
+      val (one, got) = (new SparkBlockCFPQ(spark).solve(graph, cnf), new SparkBlockCFPQ(spark, bs).solve(graph, cnf))
+      cases += 1
+      if (one.relations.valuesIterator.flatMap(_.iterator.map(_._1 / bs)).toSet.size >= 3) wide += 1
+      parts ++= Seq(1024, bs).map(b => math.min(sc.defaultParallelism, (graph.numNodes + b - 1) / b))
+      agrees(s"SparkBlock, blockSize $bs on ${graph.numNodes} nodes", got, one)
+    }, seed = 2017L, successes = 40)
+    assert(wide * 4 >= cases * 3, s"$wide of $cases cases hold cells in 3 or more block rows")
+    assert(parts.contains(1) && parts.exists(_ >= 2), s"partition counts ${parts.toSeq.sorted.mkString(", ")}")
+  }
+
   test("SparkDF equals NaiveSetMatrix in relations and iterations and keeps no RDD persisted") {
     val sc = spark.sparkContext
     val engine = new SparkDataFrameCFPQ(spark)
@@ -154,6 +171,21 @@ object GeneratedEquivalenceSpec {
       } yield (s, l, d)
       Gen.choose(0, 3 * n).flatMap(Gen.listOfN(_, edge)).map(es => LabeledGraph(n, es.toVector))
   }
+
+  /** 30–200 nodes and `n/2`–`2n` edges, most between nodes at most 3
+    * apart and some between any two, so that at block sizes up to 16 the
+    * cells of `T` lie in several block rows while its closure stays small.
+    */
+  val genSpreadGraph: Gen[LabeledGraph] = for {
+    n <- Gen.choose(30, 200)
+    m <- Gen.choose(n / 2, 2 * n)
+    edges <- Gen.listOfN(m, for {
+      s <- Gen.choose(0, n - 1)
+      far <- Gen.prob(0.1)
+      d <- if (far) Gen.choose(0, n - 1) else Gen.choose(math.max(s - 3, 0), math.min(s + 3, n - 1))
+      l <- Gen.oneOf(terminals :+ "z")
+    } yield (s, l, d))
+  } yield LabeledGraph(n, edges.toVector)
 
   /** Random `A → BC` and `A → x` rules over four nonterminals: `A → AA`
     * often, no binary rule at all sometimes, and nonterminals that no edge

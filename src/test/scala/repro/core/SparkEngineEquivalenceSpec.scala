@@ -3,9 +3,11 @@ package repro.core
 import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import scala.collection.mutable.ListBuffer
+import scala.concurrent.{Await, Promise}
+import scala.concurrent.duration._
 import scala.jdk.CollectionConverters._
 import scala.util.Random
-import org.apache.spark.SparkException
+import org.apache.spark.{SparkException, TaskKilled}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
@@ -86,42 +88,25 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
 
   test("SparkBlock runs exactly one Spark job per closure step and writes no shuffle") {
     val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val tasks = new AtomicInteger
-    val shuffleBytes = new AtomicLong
-    val stages = ConcurrentHashMap.newKeySet[Int]()
-    val sentinelSeen = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = group(e) match {
-        case Some("SparkBlock solve") => jobs.incrementAndGet(); e.stageIds.foreach(stages.add(_))
-        case Some("sentinel") => sentinelSeen.countDown()
-        case _ =>
-      }
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (stages.contains(e.stageId)) {
-          tasks.incrementAndGet()
-          if (e.taskMetrics != null) shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      val graph = Datasets.skos.graph
-      sc.setJobGroup("SparkBlock solve", "SparkBlock solve")
-      val got = try new SparkBlockCFPQ(spark, blockSize = 32).solve(graph, Queries.q1CnfPaper)
-                finally sc.clearJobGroup()
-      // Listener events arrive in order: once the sentinel job's start is
-      // seen, so are the starts and task ends of every job of the solve.
-      sc.setJobGroup("sentinel", "sentinel")
-      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
-      assert(sentinelSeen.await(60, TimeUnit.SECONDS), "listener saw no sentinel job")
-      assert(got.iterations > 2)
-      assert(jobs.get == got.iterations)
-      assert(!stages.isEmpty)
-      // One task per partition and step: P = min(parallelism, block rows).
-      val parts = math.min(sc.defaultParallelism, (graph.numNodes + 31) / 32)
-      assert(tasks.get == got.iterations * parts, s"P=$parts")
-      assert(shuffleBytes.get == 0)
-    } finally sc.removeSparkListener(listener)
+    val graph = Datasets.skos.graph
+    val (got, jobs, stages, tasks, shuffleBytes) = shape(new SparkBlockCFPQ(spark, blockSize = 32).solve(graph, Queries.q1CnfPaper))
+    assert(got.iterations > 2)
+    assert(jobs == got.iterations)
+    assert(stages > 0)
+    // One task per partition and step: P = min(parallelism, block rows).
+    val parts = math.min(sc.defaultParallelism, (graph.numNodes + 31) / 32)
+    assert(tasks == got.iterations * parts, s"P=$parts")
+    assert(shuffleBytes == 0)
+  }
+
+  test("a SparkBlock solve whose T one partition holds runs one Spark job of one task and equals SparseCSR") {
+    val (graph, cnf) = (Datasets.skos.graph, Queries.q1CnfPaper)
+    assert(graph.numNodes <= 1024) // one block row at the default block size, so P = 1
+    val (got, jobs, stages, tasks, shuffleBytes) = shape(new SparkBlockCFPQ(spark).solve(graph, cnf))
+    val expect = SparseCFPQ.solve(graph, cnf)
+    assert(got == expect && got.added == expect.added) // relations, iterations and growth per step
+    assert(got.iterations > 2)
+    assert(jobs == 1 && stages == 1 && tasks == 1 && shuffleBytes == 0, s"$jobs jobs, $stages stages, $tasks tasks")
   }
 
   test("no Spark engine's solve runs a collect(), and every SparkBlock job is submitted from SparkBlockCFPQ.scala") {
@@ -138,7 +123,8 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
   }
 
   test("SparkBlock's lineage does not grow with the step count: every step's job past the first runs over as many RDDs") {
-    val (got, starts) = jobStarts(new SparkBlockCFPQ(spark).solve(anbn(10), anbnCnf))
+    // Block size 4: 6 block rows, so P ≥ 2 and one job per step.
+    val (got, starts) = jobStarts(new SparkBlockCFPQ(spark, blockSize = 4).solve(anbn(10), anbnCnf))
     assert(got.iterations == 20 && starts.length == 20)
     // The first step runs over the initial empty RDD, every later one over
     // the last T, whose lineage the last step's job cut.
@@ -212,7 +198,8 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
     val graph = anbn(320)
     val expect = SparseCFPQ.solve(graph, anbnCnf)
     assert(expect.iterations == 640)
-    assert(new SparkBlockCFPQ(spark).solve(graph, anbnCnf) == expect)
+    // Block size 256: 3 block rows, one job per step; the default 1024: one block row, one task for the whole closure.
+    for (bs <- Seq(256, 1024)) assert(new SparkBlockCFPQ(spark, bs).solve(graph, anbnCnf) == expect, s"blockSize $bs")
   }
 
   test("a cancelled solve leaves no RDD persisted, on both Spark engines") {
@@ -236,6 +223,34 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
       assert(cancelled.get > 0, engine.name)
       assert(sc.getPersistentRDDs.keySet == persisted, engine.name)
     }
+    // P = 1: one task runs the whole closure of an a-cycle of 256 nodes and a b-cycle of 255 (130,561 steps, seconds
+    // of work). Cancel the solve's group once a thread is inside that closure: the task must end itself at the next
+    // step, with its own reason. Run to its end, it would be killed after it with the cancel's reason, by Spark's
+    // iterator over its partition.
+    val (groupId, persisted) = ("cancelled one-task solve", sc.getPersistentRDDs.keySet)
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val ended = Promise[SparkListenerTaskEnd]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = if (group(e).contains(groupId)) e.stageIds.foreach(stages.add(_))
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = if (stages.contains(e.stageId)) ended.trySuccess(e)
+    }
+    def inClosure = Thread.getAllStackTraces.values.asScala.exists(_.exists(f =>
+      f.getClassName == SparkBlockCFPQ.getClass.getName && f.getMethodName == "closure"))
+    val canceller = new Thread(() => {
+      val deadline = System.nanoTime + 60L * 1000 * 1000 * 1000
+      while (!inClosure && System.nanoTime < deadline) Thread.sleep(1)
+      sc.cancelJobGroup(groupId)
+    })
+    sc.addSparkListener(listener)
+    // The job fails at the cancel; its task ends, and the listener hears of it, later.
+    val end = try {
+      sc.setJobGroup(groupId, groupId)
+      canceller.start()
+      try intercept[SparkException](new SparkBlockCFPQ(spark).solve(cycles(256, 255), anbnCnf)) finally sc.clearJobGroup()
+      Await.result(ended.future, 60.seconds)
+    } finally { canceller.join(); sc.removeSparkListener(listener) }
+    assert(end.reason match { case k: TaskKilled => k.reason == SparkBlockCFPQ.killedBetweenSteps; case _ => false }, end.reason)
+    assert(sc.getPersistentRDDs.keySet == persisted)
   }
 
   test("SparkBlock rejects a block size below 1, naming it") {
@@ -247,6 +262,25 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
 
   private def group(e: SparkListenerJobStart): Option[String] =
     Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
+
+  /** `body`'s result, the number of jobs it ran, their stages and tasks, and the shuffle bytes their tasks wrote. */
+  private def shape[A](body: => A): (A, Int, Int, Int, Long) = {
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val tasks = new AtomicInteger
+    val shuffleBytes = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = if (group(e).contains("observed")) e.stageIds.foreach(stages.add(_))
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId)) {
+          tasks.incrementAndGet()
+          if (e.taskMetrics != null) shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+        }
+    }
+    spark.sparkContext.addSparkListener(listener)
+    // Both listeners take events in order, and a job's task ends come before it returns.
+    try { val (got, starts) = jobStarts(body); (got, starts.length, stages.size, tasks.get, shuffleBytes.get) }
+    finally spark.sparkContext.removeSparkListener(listener)
+  }
 
   /** `body`'s result and the start events of the jobs it ran, in order. */
   private def jobStarts[A](body: => A): (A, Seq[SparkListenerJobStart]) = observeJobs(body)(identity)
@@ -283,6 +317,13 @@ class SparkEngineEquivalenceSpec extends SparkSpec {
   /** a^n b^n as a path graph; its closure under `S → a S b | a b` takes 2n iterations. */
   private def anbn(n: Int): LabeledGraph =
     LabeledGraph(2 * n + 1, (0 until 2 * n).map(i => (i, if (i < n) "a" else "b", i + 1)).toVector)
+
+  /** An a-cycle of `m` nodes and a b-cycle of `k` nodes through node 0: with coprime `m` and `k`, `S -> a S b | a b`
+    * relates every a-cycle node to every b-cycle node, one more pair about every second step.
+    */
+  private def cycles(m: Int, k: Int): LabeledGraph =
+    LabeledGraph(m + k - 1, ((0 until m).map(i => (i, "a", (i + 1) % m)) ++
+      (0 until k).map(i => (if (i == 0) 0 else m + i - 1, "b", if (i == k - 1) 0 else m + i))).toVector)
 
   private lazy val anbnCnf = CNF.transform(Grammar.parse("S -> a S b | a b"))
 

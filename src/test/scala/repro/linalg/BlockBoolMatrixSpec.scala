@@ -25,7 +25,7 @@ class BlockBoolMatrixSpec extends AnyFunSuite with PropertyChecks {
 
   /** Global cells of the partitions' tile maps; tiles sharing a key are unioned. */
   private def gather(t: Seq[Tiles]): Map[String, Set[(Int, Int)]] =
-    cells(Seq(t.flatten.groupMapReduce(_._1)(_._2)(_ union _)))
+    cells(t.flatten.groupMapReduce(_._1)(_._2)(_ union _))
 
   /** The partial tiles of one step over `t` (which holds `delta`), per partition. */
   private def steps(t: Seq[Tiles], delta: Tiles, g: CnfGrammar): Seq[Tiles] =
@@ -42,8 +42,8 @@ class BlockBoolMatrixSpec extends AnyFunSuite with PropertyChecks {
     val input = Map("A" -> Seq((0, 0), (0, 5), (5, 3), (7, 7)), "B" -> Seq((2, 6)))
     val tiles = tile(4, input)
     assert(tiles.keySet == Set(("A", 0, 0), ("A", 0, 1), ("A", 1, 0), ("A", 1, 1), ("B", 0, 1)))
-    assert(cells(Seq(tiles)) == input.map { case (nt, ps) => nt -> ps.toSet })
-    for (parts <- 1 to 3) assert(gather(place(tiles, parts)) == cells(Seq(tiles)), s"P=$parts")
+    assert(cells(tiles) == input.map { case (nt, ps) => nt -> ps.toSet })
+    for (parts <- 1 to 3) assert(gather(place(tiles, parts)) == cells(tiles), s"P=$parts")
   }
 
   /** Total set cells of a tile map. */
